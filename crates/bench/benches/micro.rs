@@ -10,6 +10,7 @@ use overset_connectivity::{
 };
 use overset_grid::curvilinear::Solid;
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
+use overset_grid::gen::delta_wing::delta_wing_system;
 use overset_grid::Dims;
 use overset_solver::adi::{implicit_sweeps, SweepScratch};
 use overset_solver::kernels::solve_lanes;
@@ -218,6 +219,14 @@ fn inverse_map_kernels(c: &mut Criterion) {
     let block = Block::from_grid(0, &g, g.dims().full_box(), [None; 6], &fc());
 
     c.bench_function("invmap/build_21k_nodes", |b| b.iter(|| InverseMap::build(&block)));
+
+    // A hollow 3-D shell: half the delta-wing grid at scale 0.55, one
+    // delta-wing rank's block. Its 34×18×36 = 22,032 fine bins hold 9,304
+    // seeded ones, so most of the build is the empty-bin fill.
+    let wing = &delta_wing_system(0.55)[0];
+    let half = wing.dims().full_box().split(0, 2)[0];
+    let shell = Block::from_grid(0, wing, half, [None; 6], &fc());
+    c.bench_function("invmap/build_3d_shell", |b| b.iter(|| InverseMap::build(&shell)));
 
     let inv = InverseMap::build(&block);
     c.bench_function("invmap/query", |b| b.iter(|| inv.query([0.9, 0.35, 0.0])));

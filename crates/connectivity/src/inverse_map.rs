@@ -22,6 +22,12 @@
 //! to the virtual-time model like any other compute, so the acceleration is
 //! visible — and honest — in the paper's virtual timings.
 //!
+//! A fine bin no owned cell midpoint lands in takes the seed of its nearest
+//! seeded bin — Chebyshev distance on the bin lattice, ties to the lowest
+//! flattened bin index — found by one multi-source breadth-first search
+//! over the 26-neighbour lattice. Host cost is therefore linear in the bin
+//! count, in line with the [`FLOPS_PER_BIN_FILL`] charged per filled bin.
+//!
 //! Every pruning decision is *conservative*: occupancy bins are marked from
 //! cell bounding boxes inflated past the walk's acceptance slack, and solid
 //! masks only claim Inside/Outside when convexity proves it, so connectivity
@@ -182,84 +188,11 @@ impl InverseMap {
     /// adaptive allocation against the old flat cap through this).
     fn build_with_bins(block: &Block, nb: [usize; 3]) -> InverseMap {
         let bounds = owned_bbox(block);
-        let ow = block.owned_local();
         let hole_nb =
             [nb[0].min(MAX_HOLE_BINS), nb[1].min(MAX_HOLE_BINS), nb[2].min(MAX_HOLE_BINS)];
-        let nbins = nb[0] * nb[1] * nb[2];
-        let mut seeds: Vec<Option<Ijk>> = vec![None; nbins];
-        let mut occupancy = [0u64; OCC_WORDS];
-        let mut build_flops = 0u64;
-
-        // Acceptance slack: the walk accepts trilinear coordinates in
-        // [-TOL, 1+TOL] and Newton can accept before full convergence, so
-        // occupancy marks each cell's bounding box inflated well past that
-        // slack — pruning must never drop a rank that could answer.
-        let diag_eps = 1e-9 * bounds.diagonal().max(1.0);
-
-        let kmax_anchor = if block.two_d { ow.lo.k + 1 } else { ow.hi.k };
-        for k in ow.lo.k..kmax_anchor {
-            for j in ow.lo.j..ow.hi.j {
-                for i in ow.lo.i..ow.hi.i {
-                    // Cells are anchored at their lower-corner node; the far
-                    // corner must exist in local storage.
-                    if i + 1 >= block.local_dims.ni
-                        || j + 1 >= block.local_dims.nj
-                        || (!block.two_d && k + 1 >= block.local_dims.nk)
-                    {
-                        continue;
-                    }
-                    let cell = Ijk::new(i, j, k);
-                    build_flops += FLOPS_PER_CELL_BUILD;
-                    let mut cb = Aabb::EMPTY;
-                    for n in cell_corners(block, cell) {
-                        cb.include(block.coords[n]);
-                    }
-                    // Seed the fine bin holding the cell midpoint
-                    // (first-write-wins; the row-major sweep is
-                    // deterministic).
-                    let mid = cb.center();
-                    let b = self::bin_index(&bounds, nb, mid);
-                    if seeds[b].is_none() {
-                        seeds[b] = Some(cell);
-                    }
-                    // Conservative occupancy: the cell box inflated by an
-                    // eighth of its own extent plus a global epsilon.
-                    let e = cb.extent();
-                    let pad = 0.125 * e[0].max(e[1]).max(e[2]) + diag_eps;
-                    mark_occupancy(&mut occupancy, &bounds, &cb.inflate(pad));
-                }
-            }
-        }
-
-        // Fill empty bins from their nearest seeded neighbor (rings of
-        // growing Chebyshev radius; deterministic scan order). Bins far from
-        // any cell — the hollow middle of an annulus — still answer with
-        // the closest real cell, which is exactly the right walk start.
-        let filled: Vec<(usize, Ijk)> =
-            seeds.iter().enumerate().filter_map(|(b, s)| s.map(|c| (b, c))).collect();
-        if !filled.is_empty() {
-            for (b, seed) in seeds.iter_mut().enumerate() {
-                if seed.is_some() {
-                    continue;
-                }
-                build_flops += FLOPS_PER_BIN_FILL;
-                let (bi, bj, bk) = unflatten(b, nb);
-                let mut best: Option<(usize, Ijk)> = None;
-                for &(fb, cell) in &filled {
-                    let (fi, fj, fk) = unflatten(fb, nb);
-                    let d = fi.abs_diff(bi).max(fj.abs_diff(bj)).max(fk.abs_diff(bk));
-                    if best.is_none_or(|(bd, _)| d < bd) {
-                        best = Some((d, cell));
-                    }
-                }
-                *seed = best.map(|(_, c)| c);
-            }
-        }
-
-        // A block with no owned cells (degenerate slivers) still gets a
-        // valid map: every query answers the owned-region corner.
-        let fallback = Ijk::new(ow.lo.i, ow.lo.j, ow.lo.k);
-        let seeds: Vec<Ijk> = seeds.into_iter().map(|s| s.unwrap_or(fallback)).collect();
+        let Binned { mut seeds, mut seeded, occupancy, mut build_flops } =
+            bin_owned_cells(block, &bounds, nb);
+        build_flops += FLOPS_PER_BIN_FILL * fill_empty_bins(nb, &mut seeds, &mut seeded) as u64;
 
         InverseMap {
             bounds,
@@ -404,6 +337,114 @@ fn unflatten(b: usize, nb: [usize; 3]) -> (usize, usize, usize) {
     let bj = (b / nb[0]) % nb[1];
     let bk = b / (nb[0] * nb[1]);
     (bi, bj, bk)
+}
+
+/// The fine lattice after binning the owned cells, before the fill.
+struct Binned {
+    /// Seed cell per bin; the owned-region corner where no midpoint landed.
+    seeds: Vec<Ijk>,
+    /// Per bin: did an owned cell midpoint land in it?
+    seeded: Vec<bool>,
+    occupancy: [u64; OCC_WORDS],
+    build_flops: u64,
+}
+
+/// Bin every owned-anchored cell of `block`: seed the fine bin holding its
+/// midpoint (first write wins, row-major sweep) and mark its inflated box
+/// in the coarse occupancy mask.
+fn bin_owned_cells(block: &Block, bounds: &Aabb, nb: [usize; 3]) -> Binned {
+    let ow = block.owned_local();
+    let nbins = nb[0] * nb[1] * nb[2];
+    // A block with no owned cells (degenerate slivers) still gets a valid
+    // map: every query answers the owned-region corner.
+    let fallback = Ijk::new(ow.lo.i, ow.lo.j, ow.lo.k);
+    let mut seeds = vec![fallback; nbins];
+    let mut seeded = vec![false; nbins];
+    let mut occupancy = [0u64; OCC_WORDS];
+    let mut build_flops = 0u64;
+
+    // Acceptance slack: the walk accepts trilinear coordinates in
+    // [-TOL, 1+TOL] and Newton can accept before full convergence, so
+    // occupancy marks each cell's bounding box inflated well past that
+    // slack — pruning must never drop a rank that could answer.
+    let diag_eps = 1e-9 * bounds.diagonal().max(1.0);
+
+    let kmax_anchor = if block.two_d { ow.lo.k + 1 } else { ow.hi.k };
+    for k in ow.lo.k..kmax_anchor {
+        for j in ow.lo.j..ow.hi.j {
+            for i in ow.lo.i..ow.hi.i {
+                // Cells are anchored at their lower-corner node; the far
+                // corner must exist in local storage.
+                if i + 1 >= block.local_dims.ni
+                    || j + 1 >= block.local_dims.nj
+                    || (!block.two_d && k + 1 >= block.local_dims.nk)
+                {
+                    continue;
+                }
+                let cell = Ijk::new(i, j, k);
+                build_flops += FLOPS_PER_CELL_BUILD;
+                let mut cb = Aabb::EMPTY;
+                for n in cell_corners(block, cell) {
+                    cb.include(block.coords[n]);
+                }
+                let b = bin_index(bounds, nb, cb.center());
+                if !seeded[b] {
+                    seeded[b] = true;
+                    seeds[b] = cell;
+                }
+                // Conservative occupancy: the cell box inflated by an
+                // eighth of its own extent plus a global epsilon.
+                let e = cb.extent();
+                let pad = 0.125 * e[0].max(e[1]).max(e[2]) + diag_eps;
+                mark_occupancy(&mut occupancy, bounds, &cb.inflate(pad));
+            }
+        }
+    }
+    Binned { seeds, seeded, occupancy, build_flops }
+}
+
+/// Give every empty fine bin the seed of its nearest seeded bin by
+/// Chebyshev (26-neighbour) distance, ties to the lowest seeded-bin index;
+/// returns the number of bins filled (none when no bin is seeded). Bins
+/// far from any cell — the hollow middle of an annulus — still answer with
+/// the closest real cell, which is exactly the right walk start.
+///
+/// One multi-source breadth-first search, O(bins · 27): the queue starts
+/// with the seeded bins in ascending index, and each empty bin copies the
+/// seed of the neighbour that reaches it first. A bin at distance d has a
+/// neighbour at d − 1 on a shortest path to each of its nearest seeds, and
+/// every nearest seed of such a neighbour is one of its own; FIFO order
+/// keeps each distance layer sorted by source index, so the first
+/// neighbour to arrive carries the lowest. That is the bin the exhaustive
+/// ascending scan over all seeded bins would pick.
+fn fill_empty_bins(nb: [usize; 3], seeds: &mut [Ijk], reached: &mut [bool]) -> usize {
+    if !reached.contains(&true) {
+        return 0;
+    }
+    assert!(reached.len() <= u32::MAX as usize, "fine lattice {nb:?} too large");
+    // Every bin enters the queue exactly once.
+    let mut queue: Vec<u32> = Vec::with_capacity(reached.len());
+    queue.extend((0..reached.len() as u32).filter(|&b| reached[b as usize]));
+    let nseeded = queue.len();
+    let mut head = 0;
+    while let Some(&b) = queue.get(head) {
+        head += 1;
+        let b = b as usize;
+        let (bi, bj, bk) = unflatten(b, nb);
+        for k in bk.saturating_sub(1)..(bk + 2).min(nb[2]) {
+            for j in bj.saturating_sub(1)..(bj + 2).min(nb[1]) {
+                let row = (k * nb[1] + j) * nb[0];
+                for n in row + bi.saturating_sub(1)..row + (bi + 2).min(nb[0]) {
+                    if !reached[n] {
+                        reached[n] = true;
+                        seeds[n] = seeds[b];
+                        queue.push(n as u32);
+                    }
+                }
+            }
+        }
+    }
+    queue.len() - nseeded
 }
 
 /// Set every coarse occupancy bit whose bin overlaps `cell_box`.
@@ -866,5 +907,150 @@ mod tests {
             o => panic!("{o:?}"),
         }
         assert!(cost.walk_steps <= 2);
+    }
+
+    /// The exhaustive fill the BFS replaced, kept as its reference: each
+    /// empty bin scans every seeded bin in ascending index and keeps the
+    /// first at the smallest Chebyshev distance. O(empty × seeded). Returns
+    /// the filled seeds and the fill's flops.
+    fn fill_quadratic_reference(
+        nb: [usize; 3],
+        seeds: &[Option<Ijk>],
+        fallback: Ijk,
+    ) -> (Vec<Ijk>, u64) {
+        let mut seeds = seeds.to_vec();
+        let mut build_flops = 0u64;
+        let filled: Vec<(usize, Ijk)> =
+            seeds.iter().enumerate().filter_map(|(b, s)| s.map(|c| (b, c))).collect();
+        if !filled.is_empty() {
+            for (b, seed) in seeds.iter_mut().enumerate() {
+                if seed.is_some() {
+                    continue;
+                }
+                build_flops += FLOPS_PER_BIN_FILL;
+                let (bi, bj, bk) = unflatten(b, nb);
+                let mut best: Option<(usize, Ijk)> = None;
+                for &(fb, cell) in &filled {
+                    let (fi, fj, fk) = unflatten(fb, nb);
+                    let d = fi.abs_diff(bi).max(fj.abs_diff(bj)).max(fk.abs_diff(bk));
+                    if best.is_none_or(|(bd, _)| d < bd) {
+                        best = Some((d, cell));
+                    }
+                }
+                *seed = best.map(|(_, c)| c);
+            }
+        }
+        (seeds.into_iter().map(|s| s.unwrap_or(fallback)).collect(), build_flops)
+    }
+
+    /// The seeded bins of a binned lattice, `None` where the fill must act.
+    fn seeded_bins(binned: &Binned) -> Vec<Option<Ijk>> {
+        binned.seeded.iter().zip(&binned.seeds).map(|(&s, &c)| s.then_some(c)).collect()
+    }
+
+    #[test]
+    fn bfs_fill_matches_reference_on_real_3d_rank_blocks() {
+        use overset_grid::gen::{delta_wing::delta_wing_system, store::store_system};
+        let fc = FlowConditions::new(0.8, 0.0, 0.0);
+        // Rank blocks at the benchmark's 0.55 scale: half of the delta-wing
+        // shell (delta-7 gives the wing two ranks) and a whole store body
+        // shell (store-dynlb-18 gives most grids one rank).
+        for (g, parts) in [(&delta_wing_system(0.55)[0], 2), (&store_system(0.55)[1], 1)] {
+            let owned = g.dims().full_box().split(0, parts)[0];
+            let b = Block::from_grid(0, g, owned, [None; 6], &fc);
+            let inv = InverseMap::build(&b);
+            let binned = bin_owned_cells(&b, &inv.bounds, inv.nb);
+            let seeded = seeded_bins(&binned);
+            let nseeded = seeded.iter().filter(|s| s.is_some()).count();
+            assert!(
+                inv.nb[2] > 1 && nseeded > 0 && nseeded < inv.seeds.len(),
+                "{}: want a 3-D lattice with empty bins, got {:?} with {nseeded} seeded",
+                g.name,
+                inv.nb
+            );
+            let ow = b.owned_local();
+            let fallback = Ijk::new(ow.lo.i, ow.lo.j, ow.lo.k);
+            let (want, fill_flops) = fill_quadratic_reference(inv.nb, &seeded, fallback);
+            assert!(inv.seeds == want, "{}: seeds differ from the reference", g.name);
+            assert_eq!(inv.build_flops, binned.build_flops + fill_flops, "{}", g.name);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The BFS fill reproduces the exhaustive nearest-seed scan bit for
+        /// bit — seeds and flops — on random lattices (1-bin axes, 2-D) and
+        /// seeded-bin patterns: one seed, dense, a hollow shell, an annulus
+        /// with an empty middle, and none at all (fallback).
+        #[test]
+        fn bfs_fill_bit_equals_quadratic_reference(
+            seed in 1u64..(1 << 60),
+            ni in 1usize..14,
+            nj in 1usize..14,
+            nk_draw in 0usize..12,
+            pattern in 0usize..5,
+        ) {
+            // A third of the lattices are 2-D.
+            let nb = [ni, nj, if nk_draw < 4 { 1 } else { nk_draw - 2 }];
+            let nbins = nb[0] * nb[1] * nb[2];
+            let mut s = seed;
+            let mut draw = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let one = (draw() * nbins as f64) as usize;
+            let (ci, cj) = ((nb[0] - 1) as f64 / 2.0, (nb[1] - 1) as f64 / 2.0);
+            let r_out = ci.min(cj) + 0.5;
+            let fallback = Ijk::new(0, 0, 0);
+            let mut binned = Binned {
+                seeds: vec![fallback; nbins],
+                seeded: vec![false; nbins],
+                occupancy: [0; OCC_WORDS],
+                build_flops: 0,
+            };
+            for b in 0..nbins {
+                let (i, j, k) = unflatten(b, nb);
+                let shell = i == 0
+                    || j == 0
+                    || k == 0
+                    || i + 1 == nb[0]
+                    || j + 1 == nb[1]
+                    || k + 1 == nb[2];
+                let r = (i as f64 - ci).hypot(j as f64 - cj);
+                let hit = match pattern {
+                    0 => b == one,
+                    1 => draw() < 0.6,
+                    2 => shell && draw() < 0.5,
+                    3 => r >= 0.5 * r_out && r <= r_out && draw() < 0.8,
+                    _ => false,
+                };
+                if hit {
+                    binned.seeded[b] = true;
+                    binned.seeds[b] = Ijk::new(b, 1, 2);
+                }
+            }
+            let (want, want_flops) = fill_quadratic_reference(nb, &seeded_bins(&binned), fallback);
+            let filled = fill_empty_bins(nb, &mut binned.seeds, &mut binned.seeded);
+            prop_assert!(
+                binned.seeds == want,
+                "seed {} nb {:?} pattern {}: seeds differ from the reference",
+                seed,
+                nb,
+                pattern
+            );
+            prop_assert_eq!(
+                FLOPS_PER_BIN_FILL * filled as u64,
+                want_flops,
+                "seed {} nb {:?} pattern {}",
+                seed,
+                nb,
+                pattern
+            );
+        }
     }
 }

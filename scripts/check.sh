@@ -121,4 +121,8 @@ cargo test -q --release -p overset-comm --test transport_conformance killed_chil
 echo "== perf regression gate =="
 ./scripts/bench_gate.sh
 
+echo "== repository benchmark: build + own tests (virt_step_s vs BENCH_quick.json) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "All checks passed."
