@@ -13,7 +13,8 @@ use crate::offbody::{generate, level_histogram, Brick, OffBodyConfig};
 use overset_balance::{group_grids, Grouping};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
-    cut_holes_and_find_fringe, interpolate, walk_search, Igbp, SearchCost, SearchOutcome,
+    cut_holes_and_find_fringe_arena, interpolate, walk_search, ConnArena, Igbp, SearchCost,
+    SearchOutcome,
 };
 use overset_grid::curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, Face, Solid};
 use overset_grid::field::{StateField, NVAR};
@@ -22,7 +23,7 @@ use overset_grid::transform::RigidTransform;
 use overset_grid::{Aabb, Ijk};
 #[cfg(test)]
 use overset_solver::Blank;
-use overset_solver::{step_block, Block, FlowConditions, Scratch, SerialComm};
+use overset_solver::{step_block, Block, FlowConditions, Isa, Scratch, SerialComm};
 
 /// Configuration of the adaptive scheme demo (an X-38-like blunt body).
 #[derive(Clone, Debug)]
@@ -170,11 +171,12 @@ impl AdaptiveScheme {
         let solids = vec![(usize::MAX, self.body_solid)];
 
         // Gather fringe lists per brick block.
-        let mut fringes: Vec<Vec<Igbp>> = Vec::with_capacity(self.blocks.len());
-        for b in self.blocks.iter_mut() {
-            let (igbps, _) = cut_holes_and_find_fringe(b, &solids);
-            fringes.push(igbps);
-        }
+        let mut arena = ConnArena::new();
+        let fringes: Vec<Vec<Igbp>> = self
+            .blocks
+            .iter_mut()
+            .map(|b| cut_holes_and_find_fringe_arena(b, &solids, None, &mut arena).0)
+            .collect();
 
         // Resolve brick fringe values.
         let mut updates: Vec<(usize, Ijk, [f64; NVAR])> = Vec::new();
@@ -184,10 +186,10 @@ impl AdaptiveScheme {
                 // resolution near the body), else the finest other brick.
                 let mut resolved = None;
                 if near_bbox(&self.cfg, self.body_center).contains(ig.xyz) {
-                    let mut cost = SearchCost::default();
-                    if let SearchOutcome::Found(d) =
-                        walk_search(&self.near, ig.xyz, center_start(&self.near), &mut cost)
-                    {
+                    let (start, mut cost) = (center_start(&self.near), SearchCost::default());
+                    let found =
+                        walk_search(&self.near, ig.xyz, start, &mut cost, false, Isa::Scalar);
+                    if let SearchOutcome::Found(d) = found {
                         resolved = Some(interpolate(&self.near, &d));
                     }
                     self.curvilinear_searches += 1;
@@ -208,7 +210,8 @@ impl AdaptiveScheme {
         }
 
         // Near-body outer fringe ← bricks (O(1) locates).
-        let (near_igbps, _) = cut_holes_and_find_fringe(&mut self.near, &[]);
+        let (near_igbps, _) =
+            cut_holes_and_find_fringe_arena(&mut self.near, &[], None, &mut arena);
         for ig in &near_igbps {
             self.cartesian_locates += 1;
             if let Some(d) = locate_any(&self.bricks, ig.xyz, None) {

@@ -5,8 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use overset_balance::{group_grids, static_balance, AdjacencyMatrix};
 use overset_connectivity::donor::center_start;
 use overset_connectivity::{
-    cut_holes_and_find_fringe, cut_holes_and_find_fringe_with_map, walk_search, InverseMap,
-    SearchCost,
+    cut_holes_and_find_fringe_arena, walk_search, ConnArena, InverseMap, SearchCost,
 };
 use overset_grid::curvilinear::Solid;
 use overset_grid::gen::airfoil::{airfoil_system, near_grid};
@@ -170,48 +169,35 @@ fn connectivity_kernels(c: &mut Criterion) {
     let g = near_grid(265, 80, 1.1);
     let block = Block::from_grid(0, &g, g.dims().full_box(), [None; 6], &fc());
 
-    c.bench_function("donor/cold_walk_search", |b| {
-        b.iter(|| {
-            let mut cost = SearchCost::default();
-            walk_search(&block, [0.9, 0.35, 0.0], center_start(&block), &mut cost)
-        })
-    });
-
-    let warm_start = {
-        let mut cost = SearchCost::default();
-        match walk_search(&block, [0.9, 0.35, 0.0], center_start(&block), &mut cost) {
-            overset_connectivity::SearchOutcome::Found(d) => d.cell,
-            _ => center_start(&block),
-        }
+    let (target, center) = ([0.9, 0.35, 0.0], center_start(&block));
+    let walk =
+        |start| walk_search(&block, target, start, &mut SearchCost::default(), false, Isa::Scalar);
+    c.bench_function("donor/cold_walk_search", |b| b.iter(|| walk(center)));
+    let warm_start = match walk(center) {
+        overset_connectivity::SearchOutcome::Found(d) => d.cell,
+        _ => center,
     };
-    c.bench_function("donor/warm_walk_search", |b| {
-        b.iter(|| {
-            let mut cost = SearchCost::default();
-            walk_search(&block, [0.9, 0.35, 0.0], warm_start, &mut cost)
-        })
-    });
+    c.bench_function("donor/warm_walk_search", |b| b.iter(|| walk(warm_start)));
 
     let sys = airfoil_system(0.5);
     let solids: Vec<(usize, Solid)> =
         sys.iter().enumerate().flat_map(|(g, gr)| gr.solids.iter().map(move |s| (g, *s))).collect();
-    c.bench_function("holes/cut_and_fringe_5k_nodes", |b| {
-        b.iter_batched(
-            || Block::from_grid(2, &sys[2], sys[2].dims().full_box(), [None; 6], &fc()),
-            |mut blk| cut_holes_and_find_fringe(&mut blk, &solids),
-            BatchSize::LargeInput,
-        )
-    });
-    c.bench_function("holes/cut_and_fringe_5k_nodes_masked", |b| {
-        let inv = {
-            let blk = Block::from_grid(2, &sys[2], sys[2].dims().full_box(), [None; 6], &fc());
-            InverseMap::build(&blk)
-        };
-        b.iter_batched(
-            || Block::from_grid(2, &sys[2], sys[2].dims().full_box(), [None; 6], &fc()),
-            |mut blk| cut_holes_and_find_fringe_with_map(&mut blk, &solids, Some(&inv)),
-            BatchSize::LargeInput,
-        )
-    });
+    let fresh = || Block::from_grid(2, &sys[2], sys[2].dims().full_box(), [None; 6], &fc());
+    let inv = InverseMap::build(&fresh());
+    for (name, map) in [
+        ("holes/cut_and_fringe_5k_nodes", None),
+        ("holes/cut_and_fringe_5k_nodes_masked", Some(&inv)),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                fresh,
+                |mut blk| {
+                    cut_holes_and_find_fringe_arena(&mut blk, &solids, map, &mut ConnArena::new())
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
 }
 
 fn inverse_map_kernels(c: &mut Criterion) {
@@ -234,18 +220,10 @@ fn inverse_map_kernels(c: &mut Criterion) {
     // The pair the virtual-time savings come from: a cold search from the
     // block-center cell vs the same search from the O(1) map seed.
     let target = [0.9, 0.35, 0.0];
-    c.bench_function("donor/cold_walk_center_start", |b| {
-        b.iter(|| {
-            let mut cost = SearchCost::default();
-            walk_search(&block, target, center_start(&block), &mut cost)
-        })
-    });
-    c.bench_function("donor/cold_walk_map_seeded", |b| {
-        b.iter(|| {
-            let mut cost = SearchCost::default();
-            walk_search(&block, target, inv.query(target), &mut cost)
-        })
-    });
+    let walk =
+        |start| walk_search(&block, target, start, &mut SearchCost::default(), false, Isa::Scalar);
+    c.bench_function("donor/cold_walk_center_start", |b| b.iter(|| walk(center_start(&block))));
+    c.bench_function("donor/cold_walk_map_seeded", |b| b.iter(|| walk(inv.query(target))));
 }
 
 fn balance_kernels(c: &mut Criterion) {

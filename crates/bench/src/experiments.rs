@@ -7,11 +7,11 @@
 //! values for every run.
 
 use overflow_d::{
-    airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, CaseConfig, LbConfig,
-    RunResult,
+    airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, CaseConfig, Equivalence,
+    LbConfig, RunResult,
 };
 use overset_comm::trace::TraceConfig;
-use overset_comm::{MachineModel, Phase, TransportConfig};
+use overset_comm::{MachineModel, OversetError, Phase, TransportConfig};
 
 /// Global experiment scaling knobs.
 #[derive(Clone, Copy, Debug)]
@@ -366,59 +366,65 @@ pub fn traced_run(which: &str, e: Effort, trace: TraceConfig) -> RunResult {
 
 /// `repro smoke`: prove the transport-determinism contract from the CLI.
 /// Runs the store case once over the multi-process backend (two forked
-/// rank-group processes) and once in-process, then compares physics, global
-/// clock and every rank's clocks and communication counters bit for bit.
-/// Exit 0 on bit-equality, 1 on divergence or a failed run.
+/// rank-group processes) and once in-process, then compares the pair
+/// through the run oracle at [`Equivalence::Clocks`]: final state node for
+/// node, every clock, counter and step record. Exit 0 on bit-equality, 1
+/// on divergence or a failed run.
 ///
 /// The process-backed run goes first: its forked children re-execute
 /// `repro smoke` and must reach the process-backed `establish` without
 /// replaying the in-process reference run.
 pub fn transport_smoke() -> i32 {
-    let machine = sp2();
     let nranks = 16; // the store system has 16 grids; each needs a processor
     let mut cfg = store_case(0.3, 3);
     cfg.transport = TransportConfig::process(2);
-    let proc = match run_case(&cfg, nranks, &machine) {
-        Ok(r) => r,
+    let inproc = |c: &mut CaseConfig| c.transport = TransportConfig::InProcess;
+    let diverged = match run_pair(cfg, nranks, Equivalence::Clocks, inproc) {
+        Ok((_, _, diverged)) => diverged,
         Err(e) => {
-            eprintln!("transport smoke: process-transport run failed: {e}");
+            eprintln!("transport smoke: run failed: {e}");
             return 1;
         }
     };
-    cfg.transport = TransportConfig::InProcess;
-    let inproc = match run_case(&cfg, nranks, &machine) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("transport smoke: in-process run failed: {e}");
-            return 1;
-        }
-    };
+    println!(
+        "transport smoke: {} (store case, {nranks} ranks, proc:2 vs inproc)",
+        verdict(&diverged)
+    );
+    i32::from(diverged.is_some())
+}
 
-    let mut diverged: Vec<String> = Vec::new();
-    if proc.state_rms.to_bits() != inproc.state_rms.to_bits() {
-        diverged.push(format!("state RMS {} vs {}", proc.state_rms, inproc.state_rms));
-    }
-    if proc.wall_time.to_bits() != inproc.wall_time.to_bits() {
-        diverged.push(format!("wall time {} vs {}", proc.wall_time, inproc.wall_time));
-    }
-    for (p, i) in proc.rank_stats.iter().zip(&inproc.rank_stats) {
-        if p.final_clock.to_bits() != i.final_clock.to_bits() {
-            diverged.push(format!("rank {} clock {} vs {}", p.rank, p.final_clock, i.final_clock));
-        }
-        if (p.msgs_sent, p.bytes_sent, p.collectives) != (i.msgs_sent, i.bytes_sent, i.collectives)
-        {
-            diverged.push(format!("rank {} comm counters", p.rank));
-        }
-    }
-    if diverged.is_empty() {
-        println!("transport smoke: bit-equal (store case, {nranks} ranks, proc:2 vs inproc)");
-        0
-    } else {
-        println!("transport smoke: DIVERGED");
-        for d in &diverged {
-            eprintln!("  {d}");
-        }
-        1
+/// Run `cfg` as given and again with `toggle` applied, with final states
+/// collected on both, and ask the run oracle whether the pair agrees at
+/// `level`. Returns (as given, toggled, first divergence). Every bit-equality
+/// verdict `repro` prints comes from here.
+fn run_pair(
+    mut cfg: CaseConfig,
+    nranks: usize,
+    level: Equivalence,
+    toggle: impl FnOnce(&mut CaseConfig),
+) -> Result<(RunResult, RunResult, Option<String>), OversetError> {
+    cfg.collect_state = true;
+    let on = run_case(&cfg, nranks, &sp2())?;
+    toggle(&mut cfg);
+    let off = run_case(&cfg, nranks, &sp2())?;
+    let diverged = on.first_divergence(&off, level);
+    Ok((on, off, diverged))
+}
+
+/// The two cases every toggle ablation runs, as (label, ranks, config): the
+/// airfoil on 12 ranks, then the store on `store_ranks`.
+fn ablation_cases(e: Effort, store_ranks: usize) -> [(&'static str, usize, CaseConfig); 2] {
+    [
+        ("airfoil", 12, tuned(airfoil_case(e.scale2d, e.steps2d), e)),
+        ("store  ", store_ranks, tuned(store_case(e.scale3d, e.steps3d), e)),
+    ]
+}
+
+/// An oracle verdict as printed: `bit-equal`, or `DIVERGED: <first field>`.
+fn verdict(diverged: &Option<String>) -> String {
+    match diverged {
+        None => "bit-equal".to_string(),
+        Some(field) => format!("DIVERGED: {field}"),
     }
 }
 
@@ -490,35 +496,27 @@ pub fn ablate_restart(e: Effort) {
 
 /// Ablation: the inverse-map acceleration layer (map-seeded cold walks,
 /// occupancy-pruned candidate rotation, masked hole cutting). Answers are
-/// bit-identical either way — the table shows pure search-effort movement.
+/// bit-identical either way (run oracle at [`Equivalence::Answers`]) — the
+/// table shows pure search-effort movement.
 pub fn ablate_invmap(e: Effort) {
     use overset_comm::metrics::names;
     println!("\n== Ablation: inverse maps (airfoil @ 12 / store @ 28, SP2) ==");
-    for (name, nranks, mk) in [
-        ("airfoil", 12usize, airfoil_case(e.scale2d, e.steps2d)),
-        ("store  ", 28, store_case(e.scale3d, e.steps3d)),
-    ] {
-        let on = run_case(&tuned(mk.clone(), e), nranks, &sp2()).unwrap();
-        let mut cfg = tuned(mk, e);
-        cfg.use_inverse_map = false;
-        let off = run_case(&cfg, nranks, &sp2()).unwrap();
+    for (name, nranks, cfg) in ablation_cases(e, 28) {
+        let (on, off, diverged) =
+            run_pair(cfg, nranks, Equivalence::Answers, |c| c.use_inverse_map = false).unwrap();
         let per = |r: &RunResult| r.summary.phase_time(Phase::Connectivity) / r.steps as f64;
         let ctr = |r: &RunResult, m: &str| r.metrics.counter(m);
-        println!(
-            "  {name} map ON : connectivity {:.4} s/step, {:>8} walk steps, {:>6} forwards",
-            per(&on),
-            ctr(&on, names::CONN_WALK_STEPS),
-            ctr(&on, names::CONN_FORWARDS),
-        );
-        println!(
-            "  {name} map OFF: connectivity {:.4} s/step, {:>8} walk steps, {:>6} forwards",
-            per(&off),
-            ctr(&off, names::CONN_WALK_STEPS),
-            ctr(&off, names::CONN_FORWARDS),
-        );
+        for (label, r) in [("ON ", &on), ("OFF", &off)] {
+            println!(
+                "  {name} map {label}: connectivity {:.4} s/step, {:>8} walk steps, {:>6} forwards",
+                per(r),
+                ctr(r, names::CONN_WALK_STEPS),
+                ctr(r, names::CONN_FORWARDS),
+            );
+        }
         println!(
             "  {name} identical answers: state {} | walk-step cut {:.1}% | connectivity speedup {:.2}x",
-            if on.state_rms.to_bits() == off.state_rms.to_bits() { "bit-equal" } else { "DIVERGED" },
+            verdict(&diverged),
             100.0 * (1.0 - ctr(&on, names::CONN_WALK_STEPS) as f64
                 / ctr(&off, names::CONN_WALK_STEPS).max(1) as f64),
             per(&off) / per(&on)
@@ -527,57 +525,34 @@ pub fn ablate_invmap(e: Effort) {
 }
 
 /// Ablation: the per-rank connectivity arena. The arena never changes what
-/// the protocol computes — states AND virtual times must be bit-equal on
-/// vs off — it only removes per-step transient heap allocations, which
-/// this experiment measures on the steady-state last step and gates at
-/// the 10x reduction the observability docs promise (store case).
+/// the protocol computes — states, clocks, counters and step records must
+/// be bit-equal on vs off ([`Equivalence::Clocks`]) — it only removes
+/// per-step transient heap allocations, which this experiment measures on
+/// the steady-state last step and gates at the 10x reduction the
+/// observability docs promise (store case).
 pub fn ablate_arena(e: Effort) {
     println!("\n== Ablation: connectivity arena (airfoil @ 12 / store @ 16, SP2) ==");
-    // Steady-state connectivity allocations: last-step Connectivity-phase
-    // alloc count, summed over ranks (the first steps pay the one-time
-    // buffer growth; the last step is the recurring cost).
-    let last_step_allocs = |r: &RunResult| -> u64 {
-        r.alloc_records
-            .iter()
-            .map(|recs| recs.last().map_or(0, |a| a.allocs[Phase::Connectivity as usize]))
-            .sum()
-    };
-    // The solver (flow) phase is reported alongside: the scratch-threaded
-    // tridiagonal kernels keep its steady state allocation-free too.
-    let last_step_flow_allocs = |r: &RunResult| -> u64 {
-        r.alloc_records
-            .iter()
-            .map(|recs| recs.last().map_or(0, |a| a.allocs[Phase::Flow as usize]))
-            .sum()
-    };
+    // Steady-state allocations: the first steps pay the one-time buffer
+    // growth; the last step is the recurring cost. The solver (flow) phase
+    // is reported alongside: the scratch-threaded tridiagonal kernels keep
+    // its steady state allocation-free too.
     let mut gate_ratio = f64::INFINITY;
-    for (name, nranks, mk, gated) in [
-        ("airfoil", 12usize, airfoil_case(e.scale2d, e.steps2d), false),
-        ("store  ", 16, store_case(e.scale3d, e.steps3d), true),
-    ] {
-        let on = run_case(&tuned(mk.clone(), e), nranks, &sp2()).unwrap();
-        let mut cfg = tuned(mk, e);
-        cfg.use_arena = false;
-        let off = run_case(&cfg, nranks, &sp2()).unwrap();
-        let a_on = last_step_allocs(&on);
-        let a_off = last_step_allocs(&off);
-        let ratio = a_off as f64 / a_on.max(1) as f64;
-        let bit_equal = on.state_rms.to_bits() == off.state_rms.to_bits()
-            && on.wall_time.to_bits() == off.wall_time.to_bits();
-        println!("  {name} arena ON : {a_on:>7} connectivity allocs/step (last step, all ranks)");
-        println!("  {name} arena OFF: {a_off:>7} connectivity allocs/step (last step, all ranks)");
+    for (name, nranks, cfg) in ablation_cases(e, 16) {
+        let (on, off, diverged) =
+            run_pair(cfg, nranks, Equivalence::Clocks, |c| c.use_arena = false).unwrap();
+        for (label, r) in [("ON ", &on), ("OFF", &off)] {
+            let allocs = r.last_step_allocs(Phase::Connectivity);
+            println!("  {name} arena {label}: {allocs:>7} connectivity allocs/step (last step, all ranks)");
+        }
+        let ratio = off.last_step_allocs(Phase::Connectivity) as f64
+            / on.last_step_allocs(Phase::Connectivity).max(1) as f64;
         println!(
             "  {name} solver phase: {} (ON) / {} (OFF) allocs/step (last step, all ranks)",
-            last_step_flow_allocs(&on),
-            last_step_flow_allocs(&off),
+            on.last_step_allocs(Phase::Flow),
+            off.last_step_allocs(Phase::Flow),
         );
-        println!(
-            "  {name} state+virtual-time {} | alloc reduction {ratio:.1}x",
-            if bit_equal { "bit-equal" } else { "DIVERGED" },
-        );
-        if gated {
-            gate_ratio = ratio;
-        }
+        println!("  {name} state+clocks {} | alloc reduction {ratio:.1}x", verdict(&diverged));
+        gate_ratio = ratio; // the store case, last, is the gated one
     }
     if gate_ratio >= 10.0 {
         println!("  ALLOC-GATE: PASS ({gate_ratio:.1}x >= 10x, store case)");
@@ -590,9 +565,10 @@ pub fn ablate_arena(e: Effort) {
 /// same batched code through the portable scalar lanes). Three properties
 /// are checked:
 ///
-/// 1. **Bit-equality** — states, donor-walk outcomes and virtual clocks
-///    must be identical SIMD on vs off (per-lane vertical IEEE arithmetic
-///    only; no horizontal ops, no FMA).
+/// 1. **Bit-equality** — states, clocks, counters, step records and
+///    allocation counts must be identical SIMD on vs off
+///    ([`Equivalence::Full`]; per-lane vertical IEEE arithmetic only, no
+///    horizontal ops, no FMA).
 /// 2. **Host speedup** — the solver (flow) phase's host wall-clock, medians
 ///    over interleaved repeats in one process (so code/frequency/cache
 ///    conditions are shared), gated at 1.5x on AVX2 hosts.
@@ -602,26 +578,16 @@ pub fn ablate_simd(e: Effort) {
     use overset_comm::metrics::names;
     use overset_solver::avx2_supported;
     println!("\n== Ablation: lane-batched SIMD kernels (airfoil @ 12 / store @ 16, SP2) ==");
-    let ctr = |r: &RunResult, m: &str| r.metrics.counter(m);
-    for (name, nranks, mk) in [
-        ("airfoil", 12usize, airfoil_case(e.scale2d, e.steps2d)),
-        ("store  ", 16, store_case(e.scale3d, e.steps3d)),
-    ] {
-        let on = run_case(&tuned(mk.clone(), e), nranks, &sp2()).unwrap();
-        let mut cfg = tuned(mk, e);
-        cfg.use_simd = false;
-        let off = run_case(&cfg, nranks, &sp2()).unwrap();
-        let bit_equal = on.state_rms.to_bits() == off.state_rms.to_bits()
-            && on.wall_time.to_bits() == off.wall_time.to_bits()
-            && ctr(&on, names::CONN_WALK_STEPS) == ctr(&off, names::CONN_WALK_STEPS)
-            && ctr(&on, names::CONN_FORWARDS) == ctr(&off, names::CONN_FORWARDS);
+    for (name, nranks, cfg) in ablation_cases(e, 16) {
+        let (on, _, diverged) =
+            run_pair(cfg, nranks, Equivalence::Full, |c| c.use_simd = false).unwrap();
         println!(
-            "  {name} state+virtual-time+walks {} (walk steps {}, state rms {:.6e})",
-            if bit_equal { "bit-equal" } else { "DIVERGED" },
-            ctr(&on, names::CONN_WALK_STEPS),
+            "  {name} state+clocks+allocs {} (walk steps {}, state rms {:.6e})",
+            verdict(&diverged),
+            on.metrics.counter(names::CONN_WALK_STEPS),
             on.state_rms,
         );
-        if !bit_equal {
+        if diverged.is_some() {
             println!("  SIMD-GATE: FAIL (bit-equality violated on the {} case)", name.trim());
             return;
         }
@@ -639,12 +605,11 @@ pub fn ablate_simd(e: Effort) {
     let mut on_ms = Vec::with_capacity(repeats);
     let mut off_ms = Vec::with_capacity(repeats);
     for _ in 0..repeats {
-        let r = run_case(&tuned(airfoil_case(e.scale2d, e.steps2d), e), 12, &sp2()).unwrap();
-        on_ms.push(flow_host(&r) * 1e3);
-        let mut cfg = tuned(airfoil_case(e.scale2d, e.steps2d), e);
-        cfg.use_simd = false;
-        let r = run_case(&cfg, 12, &sp2()).unwrap();
-        off_ms.push(flow_host(&r) * 1e3);
+        let airfoil = tuned(airfoil_case(e.scale2d, e.steps2d), e);
+        let (on, off, _) =
+            run_pair(airfoil, 12, Equivalence::Full, |c| c.use_simd = false).unwrap();
+        on_ms.push(flow_host(&on) * 1e3);
+        off_ms.push(flow_host(&off) * 1e3);
     }
     on_ms.sort_by(f64::total_cmp);
     off_ms.sort_by(f64::total_cmp);

@@ -13,7 +13,7 @@ use crate::wire::{intern, Wire, WireError, WireReader};
 use std::collections::BTreeMap;
 
 /// Well-known metric names. Counter names are dotted paths; per-phase
-/// message counters are resolved with [`msgs_in`] / [`bytes_in`].
+/// message counters are resolved with [`names::msgs_in`] / [`names::bytes_in`].
 pub mod names {
     /// Search-request points serviced by this rank (the paper's `I(p)`).
     pub const CONN_SERVICED: &str = "conn.serviced";

@@ -173,44 +173,15 @@ const TOL: f64 = 1e-9;
 /// Runs the Newton stencil walk; if the walk stalls (concave grids can point
 /// the local linearization "through" a hole), falls back to a greedy
 /// cell-center descent followed by one more Newton walk.
+///
+/// `relaxed` accepts a containing cell even when its stencil touches holes
+/// (the interpolation then renormalizes over clean corners) — the standard
+/// last-resort treatment for otherwise-orphaned fringe points in gap
+/// regions between overset surfaces. `isa` carries the batched candidate
+/// inversions; the outcome and cost are bit-identical for every [`Isa`]
+/// (the lanes execute the scalar operation sequence), only host speed
+/// changes.
 pub fn walk_search(
-    block: &Block,
-    target: [f64; 3],
-    start: Ijk,
-    cost: &mut SearchCost,
-) -> SearchOutcome {
-    walk_search_mode(block, target, start, cost, false, Isa::Scalar)
-}
-
-/// Relaxed variant: accepts a containing cell even when its stencil touches
-/// holes (the interpolation then renormalizes over clean corners). This is
-/// the standard last-resort treatment for otherwise-orphaned fringe points
-/// in gap regions between overset surfaces.
-pub fn walk_search_relaxed(
-    block: &Block,
-    target: [f64; 3],
-    start: Ijk,
-    cost: &mut SearchCost,
-) -> SearchOutcome {
-    walk_search_mode(block, target, start, cost, true, Isa::Scalar)
-}
-
-/// [`walk_search`] with an explicit lane [`Isa`] carrying the batched
-/// candidate inversions. The outcome and cost are bit-identical for every
-/// `Isa` (the lanes execute the scalar operation sequence); only host
-/// speed changes.
-pub fn walk_search_isa(
-    block: &Block,
-    target: [f64; 3],
-    start: Ijk,
-    cost: &mut SearchCost,
-    relaxed: bool,
-    isa: Isa,
-) -> SearchOutcome {
-    walk_search_mode(block, target, start, cost, relaxed, isa)
-}
-
-fn walk_search_mode(
     block: &Block,
     target: [f64; 3],
     start: Ijk,
@@ -629,7 +600,7 @@ pub fn walk_search_batch(
     let mut iters = [0u64; W];
     let mut okl = [true; W];
 
-    // Wrap a finished front-end walk exactly as `walk_search_mode` does.
+    // Wrap a finished front-end walk exactly as `walk_search` does.
     let finish = |qi: usize, out: SearchOutcome, costs: &mut Vec<SearchCost>| {
         let q = &queries[qi];
         match out {
@@ -812,7 +783,7 @@ mod tests {
         let b = cart_block(9, 0.5);
         let mut cost = SearchCost::default();
         let target = [1.3, 2.1, 0.7];
-        match walk_search(&b, target, center_start(&b), &mut cost) {
+        match walk_search(&b, target, center_start(&b), &mut cost, false, Isa::Scalar) {
             SearchOutcome::Found(d) => {
                 let g = b.to_global(d.cell);
                 assert_eq!(g, Ijk::new(2, 4, 1), "cell {g:?}");
@@ -832,7 +803,7 @@ mod tests {
         let ow = b.owned_local();
         let far_start = Ijk::new(ow.lo.i, ow.lo.j, ow.lo.k);
         let target = [3.9, 3.9, 3.9];
-        match walk_search(&b, target, far_start, &mut cost) {
+        match walk_search(&b, target, far_start, &mut cost, false, Isa::Scalar) {
             SearchOutcome::Found(d) => {
                 assert_eq!(b.to_global(d.cell), Ijk::new(15, 15, 15));
             }
@@ -848,11 +819,11 @@ mod tests {
         let target = [2.05, 2.05, 2.05];
         let mut cold = SearchCost::default();
         let ow = b.owned_local();
-        walk_search(&b, target, Ijk::new(ow.lo.i, ow.lo.j, ow.lo.k), &mut cold);
+        walk_search(&b, target, Ijk::new(ow.lo.i, ow.lo.j, ow.lo.k), &mut cold, false, Isa::Scalar);
         let mut warm = SearchCost::default();
         // Warm start: the true cell itself.
         let hint = b.to_local(Ijk::new(8, 8, 8));
-        walk_search(&b, target, hint, &mut warm);
+        walk_search(&b, target, hint, &mut warm, false, Isa::Scalar);
         assert!(warm.flops() < cold.flops(), "warm {} cold {}", warm.flops(), cold.flops());
         assert_eq!(warm.walk_steps, 1);
     }
@@ -861,7 +832,8 @@ mod tests {
     fn outside_point_walks_out() {
         let b = cart_block(9, 0.5);
         let mut cost = SearchCost::default();
-        let out = walk_search(&b, [100.0, 0.0, 0.0], center_start(&b), &mut cost);
+        let out =
+            walk_search(&b, [100.0, 0.0, 0.0], center_start(&b), &mut cost, false, Isa::Scalar);
         assert_eq!(out, SearchOutcome::WalkedOut);
     }
 
@@ -872,7 +844,7 @@ mod tests {
         let hole = b.to_local(Ijk::new(3, 4, 1));
         b.iblank[hole] = Blank::Hole;
         let mut cost = SearchCost::default();
-        let out = walk_search(&b, target, center_start(&b), &mut cost);
+        let out = walk_search(&b, target, center_start(&b), &mut cost, false, Isa::Scalar);
         assert_eq!(out, SearchOutcome::Unusable);
     }
 
@@ -883,7 +855,7 @@ mod tests {
         // A point at radius 1.9, 57 degrees.
         let th = -(57.0f64.to_radians());
         let target = [1.9 * th.cos(), 1.9 * th.sin(), 0.0];
-        match walk_search(&b, target, center_start(&b), &mut cost) {
+        match walk_search(&b, target, center_start(&b), &mut cost, false, Isa::Scalar) {
             SearchOutcome::Found(d) => {
                 // Verify by forward mapping.
                 let (x, _) = cell_map(&b, d.cell, d.loc);
@@ -905,7 +877,14 @@ mod tests {
             let th = -(target_deg.to_radians());
             let target = [1.9 * th.cos(), 1.9 * th.sin(), 0.0];
             let mut cost = SearchCost::default();
-            match walk_search(&b, target, b.to_local(Ijk::new(start_i, 4, 0)), &mut cost) {
+            match walk_search(
+                &b,
+                target,
+                b.to_local(Ijk::new(start_i, 4, 0)),
+                &mut cost,
+                false,
+                Isa::Scalar,
+            ) {
                 SearchOutcome::Found(d) => {
                     assert_eq!(b.to_global(d.cell).i, want_i, "crossing toward {target_deg} deg");
                     let (x, _) = cell_map(&b, d.cell, d.loc);
@@ -937,8 +916,11 @@ mod tests {
         }
 
         let mut cost = SearchCost::default();
-        assert_eq!(walk_search(&b, target, center_start(&b), &mut cost), SearchOutcome::Unusable);
-        let d = match walk_search_relaxed(&b, target, center_start(&b), &mut cost) {
+        assert_eq!(
+            walk_search(&b, target, center_start(&b), &mut cost, false, Isa::Scalar),
+            SearchOutcome::Unusable
+        );
+        let d = match walk_search(&b, target, center_start(&b), &mut cost, true, Isa::Scalar) {
             SearchOutcome::Found(d) => d,
             o => panic!("relaxed search failed: {o:?}"),
         };
@@ -1105,7 +1087,7 @@ mod tests {
             assert_eq!(outs.len(), queries.len());
             for (q, (o, c)) in queries.iter().zip(outs.iter().zip(costs.iter())) {
                 let mut sc = SearchCost::default();
-                let so = walk_search_isa(&b, q.xyz, q.start, &mut sc, q.relaxed, Isa::Scalar);
+                let so = walk_search(&b, q.xyz, q.start, &mut sc, q.relaxed, Isa::Scalar);
                 assert_eq!(*o, so, "outcome diverged at {:?} ({isa:?})", q.xyz);
                 assert_eq!(c.walk_steps, sc.walk_steps, "walk steps at {:?} ({isa:?})", q.xyz);
                 assert_eq!(c.newton_iters, sc.newton_iters, "iters at {:?} ({isa:?})", q.xyz);
@@ -1121,7 +1103,7 @@ mod tests {
         let fc = FlowConditions::new(0.8, 0.0, 0.0);
         let b = Block::from_grid(0, &g, d.full_box(), [None; 6], &fc);
         let mut cost = SearchCost::default();
-        match walk_search(&b, [1.0, 2.0, 0.0], center_start(&b), &mut cost) {
+        match walk_search(&b, [1.0, 2.0, 0.0], center_start(&b), &mut cost, false, Isa::Scalar) {
             SearchOutcome::Found(dn) => {
                 assert_eq!(dn.cell.k, 0);
                 assert_eq!(dn.loc[2], 0.0);

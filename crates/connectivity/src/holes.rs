@@ -38,29 +38,18 @@ pub struct Igbp {
 /// Re-cut holes and identify fringe points on a block against the solids of
 /// *other* grids. Resets all previous blanking. Returns (IGBP list,
 /// estimated flops).
-pub fn cut_holes_and_find_fringe(block: &mut Block, solids: &[(usize, Solid)]) -> (Vec<Igbp>, u64) {
-    cut_holes_and_find_fringe_with_map(block, solids, None)
-}
-
-/// [`cut_holes_and_find_fringe`] accelerated by a block's inverse map: the
-/// map's hole lattice is classified per solid (inside / outside / boundary)
-/// once, and the per-node detailed containment test runs only for nodes in
-/// *boundary* bins. Blanking is bit-identical to the unmasked cutter — only
-/// the flop charge changes. With `inv = None` this *is* the unmasked cutter.
-pub fn cut_holes_and_find_fringe_with_map(
-    block: &mut Block,
-    solids: &[(usize, Solid)],
-    inv: Option<&InverseMap>,
-) -> (Vec<Igbp>, u64) {
-    let mut arena = ConnArena::new();
-    cut_holes_and_find_fringe_arena(block, solids, inv, &mut arena)
-}
-
-/// [`cut_holes_and_find_fringe_with_map`] running on a caller-owned
-/// [`ConnArena`]: the fringe-node scratch persists across steps and the
-/// returned IGBP list is recycled through the arena (hand it back with
-/// [`ConnArena::recycle_igbps`] once connectivity has consumed it).
-/// Blanking is identical either way.
+///
+/// With an inverse map (`inv`), the map's hole lattice is classified per
+/// solid (inside / outside / boundary) once, and the per-node detailed
+/// containment test runs only for nodes in *boundary* bins. Blanking is
+/// bit-identical to the unmasked cutter (`inv = None`) — only the flop
+/// charge changes.
+///
+/// The fringe-node scratch lives on the caller-owned [`ConnArena`] and
+/// persists across steps; the returned IGBP list is recycled through the
+/// arena (hand it back with [`ConnArena::recycle_igbps`] once connectivity
+/// has consumed it). Blanking is identical with a fresh or a warm arena;
+/// callers without a persistent arena pass `&mut ConnArena::new()`.
 ///
 /// An inverse map with a non-identity pose is ignored here: solid masks
 /// are classified in the map's *lattice* frame, and re-deriving them
@@ -283,6 +272,11 @@ mod tests {
     use overset_grid::index::Dims;
     use overset_solver::FlowConditions;
 
+    /// Hole cut with a cold arena.
+    fn cut(b: &mut Block, solids: &[(usize, Solid)], inv: Option<&InverseMap>) -> (Vec<Igbp>, u64) {
+        cut_holes_and_find_fringe_arena(b, solids, inv, &mut ConnArena::new())
+    }
+
     fn bg_block(n: usize, outer_overset: bool) -> Block {
         let d = Dims::new(n, n, 1);
         let h = 4.0 / (n - 1) as f64;
@@ -302,7 +296,7 @@ mod tests {
     fn solid_cuts_hole_with_fringe_ring() {
         let mut b = bg_block(21, false);
         let solids = vec![(0usize, Solid::Ellipsoid { center: [0.0; 3], radii: [0.7, 0.7, 10.0] })];
-        let (igbps, flops) = cut_holes_and_find_fringe(&mut b, &solids);
+        let (igbps, flops) = cut(&mut b, &solids, None);
         assert!(flops > 0);
         // Center is a hole.
         let c = b.to_local(Ijk::new(10, 10, 0));
@@ -333,7 +327,7 @@ mod tests {
         let mut b = bg_block(11, false);
         // Solid belongs to grid 1 == block's own grid.
         let solids = vec![(1usize, Solid::Ellipsoid { center: [0.0; 3], radii: [0.7, 0.7, 10.0] })];
-        let (igbps, _) = cut_holes_and_find_fringe(&mut b, &solids);
+        let (igbps, _) = cut(&mut b, &solids, None);
         assert!(igbps.is_empty());
         for p in b.owned_local().iter() {
             assert_eq!(b.iblank[p], Blank::Field);
@@ -343,7 +337,7 @@ mod tests {
     #[test]
     fn outer_boundary_becomes_fringe() {
         let mut b = bg_block(11, true);
-        let (igbps, _) = cut_holes_and_find_fringe(&mut b, &[]);
+        let (igbps, _) = cut(&mut b, &[], None);
         // Single fringe on all 4 edges of an 11x11 grid: 11^2 - 9^2 = 40.
         assert_eq!(igbps.len(), 40);
         let ow = b.owned_local();
@@ -355,13 +349,13 @@ mod tests {
     fn recut_resets_previous_state() {
         let mut b = bg_block(15, false);
         let near = vec![(0usize, Solid::Ellipsoid { center: [0.0; 3], radii: [0.7, 0.7, 10.0] })];
-        cut_holes_and_find_fringe(&mut b, &near);
+        cut(&mut b, &near, None);
         let before: usize = b.owned_local().iter().filter(|&p| b.iblank[p] == Blank::Hole).count();
         assert!(before > 0);
         // Solid moves away: holes must vanish.
         let far =
             vec![(0usize, Solid::Ellipsoid { center: [50.0, 0.0, 0.0], radii: [0.7, 0.7, 10.0] })];
-        let (igbps, _) = cut_holes_and_find_fringe(&mut b, &far);
+        let (igbps, _) = cut(&mut b, &far, None);
         let after: usize = b.owned_local().iter().filter(|&p| b.iblank[p] == Blank::Hole).count();
         assert_eq!(after, 0);
         assert!(igbps.is_empty());
@@ -381,8 +375,8 @@ mod tests {
             ),
         ];
         let inv = InverseMap::build(&a);
-        let (ia, _) = cut_holes_and_find_fringe_with_map(&mut a, &solids, Some(&inv));
-        let (ib, _) = cut_holes_and_find_fringe(&mut b, &solids);
+        let (ia, _) = cut(&mut a, &solids, Some(&inv));
+        let (ib, _) = cut(&mut b, &solids, None);
         assert_eq!(ia, ib);
         for p in a.owned_local().iter() {
             assert_eq!(a.iblank[p], b.iblank[p], "blanking differs at {p:?}");
@@ -405,8 +399,8 @@ mod tests {
             (0usize, Solid::Ellipsoid { center: [0.8, 0.6, -0.4], radii: [0.9, 1.1, 0.8] }),
         ];
         let inv = InverseMap::build(&a);
-        let (ia, fa) = cut_holes_and_find_fringe_with_map(&mut a, &solids, Some(&inv));
-        let (ib, fb) = cut_holes_and_find_fringe(&mut b, &solids);
+        let (ia, fa) = cut(&mut a, &solids, Some(&inv));
+        let (ib, fb) = cut(&mut b, &solids, None);
         assert_eq!(ia, ib);
         for p in a.owned_local().iter() {
             assert_eq!(a.iblank[p], b.iblank[p]);
@@ -419,11 +413,11 @@ mod tests {
         let mut b = bg_block(21, false);
         let s0 =
             vec![(0usize, Solid::Ellipsoid { center: [-0.5, 0.0, 0.0], radii: [0.5, 0.5, 10.0] })];
-        cut_holes_and_find_fringe(&mut b, &s0);
+        cut(&mut b, &s0, None);
         let left_hole = b.iblank[b.to_local(Ijk::new(7, 10, 0))] == Blank::Hole;
         let s1 =
             vec![(0usize, Solid::Ellipsoid { center: [0.5, 0.0, 0.0], radii: [0.5, 0.5, 10.0] })];
-        cut_holes_and_find_fringe(&mut b, &s1);
+        cut(&mut b, &s1, None);
         let right_hole = b.iblank[b.to_local(Ijk::new(13, 10, 0))] == Blank::Hole;
         assert!(left_hole && right_hole);
         assert_ne!(b.iblank[b.to_local(Ijk::new(7, 10, 0))], Blank::Hole);

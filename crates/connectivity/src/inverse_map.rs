@@ -15,7 +15,7 @@
 //!   interior — generate exactly these false positives),
 //! * per-solid **inside/outside/boundary ternary masks** over a hole
 //!   lattice, so hole cutting runs the detailed containment test only for
-//!   nodes in *boundary* bins (see [`classify_solids`]).
+//!   nodes in *boundary* bins (see [`classify_solids_into`]).
 //!
 //! The structure is rebuilt once per motion event (only for blocks whose
 //! grid moved; static grids reuse it across steps) and its build is charged
@@ -105,7 +105,7 @@ pub struct InverseMap {
     /// Coarse occupancy: bit set ⇔ some owned-anchored cell's (inflated)
     /// bounding box overlaps the bin.
     occupancy: [u64; OCC_WORDS],
-    /// Hole-lattice bins per axis for [`classify_solids`].
+    /// Hole-lattice bins per axis for [`classify_solids_into`].
     hole_nb: [usize; 3],
     /// Flops spent building (the caller charges them to virtual time).
     build_flops: u64,
@@ -293,7 +293,7 @@ impl InverseMap {
     }
 
     /// Hole-lattice bin index of a node coordinate (used with the classes
-    /// from [`classify_solids`]). Lattice-frame only: hole classification
+    /// from [`classify_solids_into`]). Lattice-frame only: hole classification
     /// is gated on an identity pose (see `holes.rs`), so no inverse
     /// transform is applied here.
     pub fn hole_bin(&self, p: [f64; 3]) -> usize {
@@ -517,24 +517,12 @@ pub fn occupancy_admits(occ: &[u64; OCC_WORDS], rank_box: &Aabb, p: [f64; 3]) ->
 pub const OCC_ALL: [u64; OCC_WORDS] = [u64::MAX; OCC_WORDS];
 
 /// Classify every hole-lattice bin of `inv` against each solid in `solids`
-/// (one `Vec<BinClass>` per solid, bin-major). `pad_hint` must be the same
-/// padded-bbox inflation the unmasked cutter uses, so an `Outside` verdict
-/// reproduces its bounding-box rejection exactly. Returns the classes and
-/// the flops spent.
-pub fn classify_solids(
-    inv: &InverseMap,
-    solids: &[&Solid],
-    pad_hint: f64,
-) -> (Vec<Vec<BinClass>>, u64) {
-    let owned: Vec<Solid> = solids.iter().map(|s| **s).collect();
-    let mut classes = Vec::new();
-    let flops = classify_solids_into(inv, &owned, pad_hint, &mut classes);
-    (classes, flops)
-}
-
-/// [`classify_solids`] writing into caller-owned storage: the outer vector
-/// is resized to the solid count and the inner per-bin vectors keep their
-/// capacity, so a steady-state re-classification allocates nothing.
+/// (one `Vec<BinClass>` per solid, bin-major), writing into caller-owned
+/// storage: the outer vector is resized to the solid count and the inner
+/// per-bin vectors keep their capacity, so a steady-state re-classification
+/// allocates nothing. `pad_hint` must be the same padded-bbox inflation the
+/// unmasked cutter uses, so an `Outside` verdict reproduces its
+/// bounding-box rejection exactly. Returns the flops spent.
 pub fn classify_solids_into(
     inv: &InverseMap,
     solids: &[Solid],
@@ -591,6 +579,7 @@ mod tests {
     use overset_grid::field::Field3;
     use overset_grid::index::Dims;
     use overset_solver::FlowConditions;
+    use overset_solver::Isa;
 
     fn cart_block(n: usize, h: f64) -> Block {
         let d = Dims::new(n, n, n);
@@ -628,7 +617,7 @@ mod tests {
             let target =
                 [(i as f64 + 0.5) * 0.25, (j as f64 + 0.5) * 0.25, (k as f64 + 0.5) * 0.25];
             let mut cost = SearchCost::default();
-            match walk_search(&b, target, inv.query(target), &mut cost) {
+            match walk_search(&b, target, inv.query(target), &mut cost, false, Isa::Scalar) {
                 SearchOutcome::Found(d) => {
                     assert_eq!(b.to_global(d.cell), Ijk::new(i, j, k));
                 }
@@ -644,9 +633,9 @@ mod tests {
         let inv = InverseMap::build(&b);
         let target = [0.3, 3.8, 0.2];
         let mut cold = SearchCost::default();
-        walk_search(&b, target, crate::donor::center_start(&b), &mut cold);
+        walk_search(&b, target, crate::donor::center_start(&b), &mut cold, false, Isa::Scalar);
         let mut seeded = SearchCost::default();
-        walk_search(&b, target, inv.query(target), &mut seeded);
+        walk_search(&b, target, inv.query(target), &mut seeded, false, Isa::Scalar);
         assert!(
             seeded.flops() < cold.flops(),
             "seeded {} vs cold {}",
@@ -687,9 +676,9 @@ mod tests {
             let y = 0.03 + (q as f64 * 0.0173) % 0.75;
             let p = [x, y, 0.0];
             let mut ca = SearchCost::default();
-            let oa = walk_search(&b, p, adaptive.query(p), &mut ca);
+            let oa = walk_search(&b, p, adaptive.query(p), &mut ca, false, Isa::Scalar);
             let mut cf = SearchCost::default();
-            let of = walk_search(&b, p, flat.query(p), &mut cf);
+            let of = walk_search(&b, p, flat.query(p), &mut cf, false, Isa::Scalar);
             assert!(matches!(oa, SearchOutcome::Found(_)), "lost a donor at {p:?}: {oa:?}");
             assert_eq!(oa, of, "donor must not depend on the seed lattice at {p:?}");
             adaptive_steps += ca.walk_steps;
@@ -738,7 +727,7 @@ mod tests {
             let th = -th_deg.to_radians();
             let target = [1.6 * th.cos(), 1.6 * th.sin(), 0.0];
             let mut cost = SearchCost::default();
-            match walk_search(&b, target, inv.query(target), &mut cost) {
+            match walk_search(&b, target, inv.query(target), &mut cost, false, Isa::Scalar) {
                 SearchOutcome::Found(_) => {}
                 o => panic!("{th_deg} deg: {o:?}"),
             }
@@ -855,8 +844,8 @@ mod tests {
         let b = cart_block(21, 0.2); // covers [0,4]^3
         let inv = InverseMap::build(&b);
         let solid = Solid::Ellipsoid { center: [2.0, 2.0, 2.0], radii: [1.3, 1.1, 1.2] };
-        let (classes, flops) = classify_solids(&inv, &[&solid], 0.1);
-        assert!(flops > 0);
+        let mut classes = Vec::new();
+        assert!(classify_solids_into(&inv, &[solid], 0.1, &mut classes) > 0);
         let classes = &classes[0];
         let mut counts = [0usize; 3];
         for (bin, cls) in classes.iter().enumerate() {
@@ -902,7 +891,7 @@ mod tests {
         let inv = InverseMap::build(&b);
         let target = [1.0, 2.0, 0.0];
         let mut cost = SearchCost::default();
-        match walk_search(&b, target, inv.query(target), &mut cost) {
+        match walk_search(&b, target, inv.query(target), &mut cost, false, Isa::Scalar) {
             SearchOutcome::Found(dn) => assert_eq!(b.to_global(dn.cell), Ijk::new(3, 6, 0)),
             o => panic!("{o:?}"),
         }

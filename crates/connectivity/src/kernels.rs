@@ -10,7 +10,7 @@
 //! reductions, no FMA), so every lane's result is bit-identical to the
 //! scalar reference: donors, walk outcomes, blanking verdicts and the
 //! flop charges derived from them do not depend on the selected
-//! [`Isa`]. The `--no-simd` ablation and the batched-vs-scalar proptests
+//! [`Isa`](overset_solver::Isa). The `--no-simd` ablation and the batched-vs-scalar proptests
 //! pin this.
 //!
 //! Dispatch reuses the solver's exported [`overset_solver::lane_kernel!`]

@@ -17,11 +17,24 @@
 //!   baseline and validation reference),
 //! * [`protocol`] — the distributed donor-search protocol (bounding-box
 //!   routing, asynchronous request service, candidate forwarding, and the
-//!   "nth-level restart" donor cache).
-
+//!   "nth-level restart" donor cache),
 //! * [`kernels`] — lane-batched (SIMD) forms of the trilinear Newton
 //!   inversion and the hole cutter's containment tests, bit-identical to
 //!   the scalar code per lane.
+//!
+//! Each operation has exactly one entry point, taking its acceleration
+//! context explicitly — the optional inverse map(s) and a caller-owned
+//! [`ConnArena`] that also carries the lane [`Isa`](overset_solver::Isa):
+//!
+//! | operation | entry |
+//! |---|---|
+//! | hole cut + fringe | [`cut_holes_and_find_fringe_arena`] |
+//! | distributed connectivity | [`connect_distributed_arena`] |
+//! | serial connectivity | [`connect_serial_arena`] |
+//! | one donor walk | [`walk_search`] (`relaxed`, `isa` explicit) |
+//!
+//! Callers that want the defaults pass `None, &mut ConnArena::new()`
+//! (scalar lanes, cold buffers); results are bit-identical either way.
 
 pub mod arena;
 pub mod donor;
@@ -33,22 +46,12 @@ pub mod protocol;
 pub mod serial;
 
 pub use arena::ConnArena;
-pub use donor::{
-    walk_search, walk_search_batch, walk_search_isa, BatchQuery, Donor, SearchCost, SearchOutcome,
-};
-pub use holes::{
-    cut_holes_and_find_fringe, cut_holes_and_find_fringe_arena, cut_holes_and_find_fringe_with_map,
-    Igbp,
-};
+pub use donor::{walk_search, walk_search_batch, BatchQuery, Donor, SearchCost, SearchOutcome};
+pub use holes::{cut_holes_and_find_fringe_arena, Igbp};
 pub use interp::{interpolate, weights};
 pub use inverse_map::{
     classify_solids_into, occupancy_admits, occupancy_admits_posed, BinClass, InverseMap,
     FLOPS_PER_INCR_UPDATE, OCC_ALL, OCC_WORDS,
 };
-pub use protocol::{
-    connect_distributed, connect_distributed_arena, connect_distributed_with_map, ConnStats,
-    DonorCache, Topology,
-};
-pub use serial::{
-    connect_serial, connect_serial_arena, connect_serial_with_maps, SerialCache, SerialConnStats,
-};
+pub use protocol::{connect_distributed_arena, ConnStats, DonorCache, Topology};
+pub use serial::{connect_serial_arena, SerialCache, SerialConnStats};

@@ -275,43 +275,22 @@ impl Pending {
 /// Preconditions: holes cut and `igbps` identified (see [`crate::holes`]),
 /// and the block's halo state freshly exchanged (donor stencils near
 /// subdomain edges read halo values).
-pub fn connect_distributed(
-    block: &mut Block,
-    igbps: &[Igbp],
-    topo: &Topology,
-    cache: &mut DonorCache,
-    comm: &mut Comm,
-) -> ConnStats {
-    connect_distributed_with_map(block, igbps, topo, cache, comm, None)
-}
-
-/// [`connect_distributed`] accelerated by this rank's inverse map (built for
-/// the block's *current* geometry): cold donor searches start from the map's
-/// O(1) seed instead of the block center, and the map's coarse occupancy
-/// mask rides along with the bounding-box broadcast so candidate routing
-/// prunes ranks whose boxes contain a point but whose cells cannot. Donors,
-/// weights and orphans are identical with or without the map — pruning only
-/// removes ranks that would certainly answer Miss. With `inv = None` the
-/// rank broadcasts an all-ones mask and cold-starts from the center (the
-/// exact legacy protocol).
-pub fn connect_distributed_with_map(
-    block: &mut Block,
-    igbps: &[Igbp],
-    topo: &Topology,
-    cache: &mut DonorCache,
-    comm: &mut Comm,
-    inv: Option<&InverseMap>,
-) -> ConnStats {
-    let mut arena = ConnArena::new();
-    connect_distributed_arena(block, igbps, topo, cache, comm, inv, &mut arena)
-}
-
-/// [`connect_distributed_with_map`] running on a caller-owned [`ConnArena`].
-/// The arena only changes *where* scratch collections get their memory —
-/// the protocol, its message traffic, and every flop charge are identical
-/// whether the arena is fresh or warm, so states and virtual times are
-/// bit-identical across the two; a persistent arena just drops the
-/// steady-state transient-allocation count to near zero.
+///
+/// An optional inverse map (`inv`, built for the block's *current*
+/// geometry) seeds cold donor searches from its O(1) lookup instead of the
+/// block center, and its coarse occupancy mask rides along with the
+/// bounding-box broadcast so candidate routing prunes ranks whose boxes
+/// contain a point but whose cells cannot. Donors, weights and orphans are
+/// identical with or without the map — pruning only removes ranks that
+/// would certainly answer Miss. With `inv = None` the rank broadcasts an
+/// all-ones mask and cold-starts from the center.
+///
+/// Scratch lives on the caller-owned [`ConnArena`], which only changes
+/// *where* collections get their memory — the protocol, its message
+/// traffic, and every flop charge are identical whether the arena is fresh
+/// or warm, so states and virtual times are bit-identical across the two; a
+/// persistent arena just drops the steady-state transient-allocation count
+/// to near zero.
 pub fn connect_distributed_arena(
     block: &mut Block,
     igbps: &[Igbp],
@@ -710,6 +689,7 @@ fn clamp_to_local_cell(block: &Block, global_cell: Ijk) -> Ijk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::holes::cut_holes_and_find_fringe_arena;
     use overset_comm::{MachineModel, Universe};
     use overset_grid::curvilinear::{BcKind, BoundaryPatch, CurvilinearGrid, Face, GridKind};
     use overset_grid::field::Field3;
@@ -766,6 +746,26 @@ mod tests {
         }
     }
 
+    /// One connectivity pass with the defaults: fresh hole cut and fringe,
+    /// no inverse map, cold arenas.
+    fn connect(
+        block: &mut Block,
+        cache: &mut DonorCache,
+        comm: &mut Comm,
+    ) -> (Vec<Igbp>, ConnStats) {
+        let (igbps, _) = cut_holes_and_find_fringe_arena(block, &[], None, &mut ConnArena::new());
+        let stats = connect_distributed_arena(
+            block,
+            &igbps,
+            &topo(),
+            cache,
+            comm,
+            None,
+            &mut ConnArena::new(),
+        );
+        (igbps, stats)
+    }
+
     fn paint_linear(b: &mut Block) {
         for p in b.local_dims.iter() {
             let [x, y, _] = b.coords[p];
@@ -781,9 +781,8 @@ mod tests {
             if comm.rank() > 0 {
                 paint_linear(&mut block);
             }
-            let (igbps, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
             let mut cache = DonorCache::new();
-            let stats = connect_distributed(&mut block, &igbps, &topo(), &mut cache, comm);
+            let (igbps, stats) = connect(&mut block, &mut cache, comm);
             // Verify resolved fringe values against the analytic field.
             let mut max_err = 0.0f64;
             for ig in &igbps {
@@ -811,10 +810,8 @@ mod tests {
             let mut block = build_block(comm.rank(), &fc);
             paint_linear(&mut block);
             let mut cache = DonorCache::new();
-            let (igbps, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
-            let s1 = connect_distributed(&mut block, &igbps, &topo(), &mut cache, comm);
-            let (igbps2, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
-            let s2 = connect_distributed(&mut block, &igbps2, &topo(), &mut cache, comm);
+            let (_, s1) = connect(&mut block, &mut cache, comm);
+            let (_, s2) = connect(&mut block, &mut cache, comm);
             (s1, s2)
         });
         // Walk work on the servicing ranks drops with warm hints.
@@ -832,9 +829,7 @@ mod tests {
             Universe::builder().ranks(3).machine(&MachineModel::ibm_sp2()).run(|comm| {
                 let mut block = build_block(comm.rank(), &fc);
                 paint_linear(&mut block);
-                let (igbps, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
-                let mut cache = DonorCache::new();
-                connect_distributed(&mut block, &igbps, &topo(), &mut cache, comm);
+                connect(&mut block, &mut DonorCache::new(), comm);
                 comm.now()
             })
         };
@@ -853,10 +848,8 @@ mod tests {
             let mut block = build_block(comm.rank(), &fc);
             paint_linear(&mut block);
             let mut cache = DonorCache::new();
-            let (igbps, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
-            let s1 = connect_distributed(&mut block, &igbps, &topo(), &mut cache, comm);
-            let (igbps2, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
-            let s2 = connect_distributed(&mut block, &igbps2, &topo(), &mut cache, comm);
+            let (_, s1) = connect(&mut block, &mut cache, comm);
+            let (_, s2) = connect(&mut block, &mut cache, comm);
             (s1, s2)
         });
         // Per-rank: the registry's serviced counter is exactly the sum of
@@ -887,9 +880,7 @@ mod tests {
         let out = Universe::builder().ranks(3).machine(&MachineModel::modern()).run(|comm| {
             let mut block = build_block(comm.rank(), &fc);
             paint_linear(&mut block);
-            let (igbps, _) = crate::holes::cut_holes_and_find_fringe(&mut block, &[]);
-            let mut cache = DonorCache::new();
-            connect_distributed(&mut block, &igbps, &topo(), &mut cache, comm)
+            connect(&mut block, &mut DonorCache::new(), comm).1
         });
         assert_eq!(out[1].result.igbps + out[2].result.igbps, 0);
         assert_eq!(out[0].result.serviced, 0);

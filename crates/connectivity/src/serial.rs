@@ -4,7 +4,7 @@
 //! protocol is validated against.
 
 use crate::arena::ConnArena;
-use crate::donor::{center_start, walk_search_isa, Donor, SearchCost, SearchOutcome};
+use crate::donor::{center_start, walk_search, Donor, SearchCost, SearchOutcome};
 use crate::holes::cut_holes_and_find_fringe_arena;
 use crate::interp::{interpolate, FLOPS_PER_INTERP};
 use crate::inverse_map::InverseMap;
@@ -53,35 +53,16 @@ pub struct SerialConnStats {
 /// 2. for each IGBP, search its grid's hierarchy list for a donor (warm
 ///    started from the cache when possible),
 /// 3. interpolate and impose the fringe values.
-pub fn connect_serial(
-    blocks: &mut [Block],
-    search_order: &[Vec<usize>],
-    solids: &[(usize, Solid)],
-    cache: &mut SerialCache,
-) -> SerialConnStats {
-    connect_serial_with_maps(blocks, search_order, solids, cache, None)
-}
-
-/// [`connect_serial`] accelerated by per-grid inverse maps (`maps[g]` built
-/// for `blocks[g]`'s current geometry): hole cutting is masked by each map's
-/// ternary solid lattice and cold donor searches start from the map's O(1)
-/// seed instead of the donor grid's center. Results (blanking, donors,
-/// orphans, fringe values) are identical with or without maps — only the
-/// flop charge drops. With `maps = None` this *is* the legacy serial path.
-pub fn connect_serial_with_maps(
-    blocks: &mut [Block],
-    search_order: &[Vec<usize>],
-    solids: &[(usize, Solid)],
-    cache: &mut SerialCache,
-    maps: Option<&[InverseMap]>,
-) -> SerialConnStats {
-    let mut arena = ConnArena::new();
-    connect_serial_arena(blocks, search_order, solids, cache, maps, &mut arena)
-}
-
-/// [`connect_serial_with_maps`] running on a caller-owned [`ConnArena`]:
-/// per-grid IGBP lists, the deferred-write buffer and the grid bounding
-/// boxes keep their capacity across steps. Results are bit-identical with
+///
+/// Optional per-grid inverse maps (`maps[g]` built for `blocks[g]`'s current
+/// geometry) mask hole cutting by each map's ternary solid lattice and seed
+/// cold donor searches from the map's O(1) lookup instead of the donor
+/// grid's center. Results (blanking, donors, orphans, fringe values) are
+/// identical with or without maps — only the flop charge drops.
+///
+/// Per-grid IGBP lists, the deferred-write buffer and the grid bounding
+/// boxes live on the caller-owned [`ConnArena`] and keep their capacity
+/// across steps. Results are bit-identical with
 /// a fresh or warm arena — only host allocation counts differ.
 pub fn connect_serial_arena(
     blocks: &mut [Block],
@@ -135,7 +116,7 @@ pub fn connect_serial_arena(
             if let Some(&(dg, cell)) = cache.map.get(&key) {
                 let mut cost = SearchCost::default();
                 if let SearchOutcome::Found(d) =
-                    walk_search_isa(&blocks[dg], ig.xyz, cell, &mut cost, false, isa)
+                    walk_search(&blocks[dg], ig.xyz, cell, &mut cost, false, isa)
                 {
                     found = Some((dg, d));
                 }
@@ -161,7 +142,7 @@ pub fn connect_serial_arena(
                         }
                         None => center_start(&blocks[dg]),
                     };
-                    let out = walk_search_isa(&blocks[dg], ig.xyz, start, &mut cost, relaxed, isa);
+                    let out = walk_search(&blocks[dg], ig.xyz, start, &mut cost, relaxed, isa);
                     stats.walk_steps += cost.walk_steps;
                     stats.flops += cost.flops();
                     if let SearchOutcome::Found(d) = out {
@@ -227,6 +208,17 @@ mod tests {
         ]
     }
 
+    /// Serial connectivity with a cold arena.
+    fn connect(
+        blocks: &mut [Block],
+        order: &[Vec<usize>],
+        solids: &[(usize, Solid)],
+        cache: &mut SerialCache,
+        maps: Option<&[InverseMap]>,
+    ) -> SerialConnStats {
+        connect_serial_arena(blocks, order, solids, cache, maps, &mut ConnArena::new())
+    }
+
     fn order() -> Vec<Vec<usize>> {
         vec![vec![1], vec![0]]
     }
@@ -241,7 +233,7 @@ mod tests {
             bg.q.set_node(p, [1.0 + x + 2.0 * y, 0.0, 0.0, 0.0, 1.0]);
         }
         let mut cache = SerialCache::new();
-        let stats = connect_serial(&mut blocks, &order(), &[], &mut cache);
+        let stats = connect(&mut blocks, &order(), &[], &mut cache, None);
         assert!(stats.igbps > 0);
         assert_eq!(stats.orphans, 0, "stats: {stats:?}");
         // Check an inner outer-boundary node got the background value.
@@ -254,9 +246,9 @@ mod tests {
     fn second_pass_uses_cache_and_is_cheaper() {
         let mut blocks = two_grid_system();
         let mut cache = SerialCache::new();
-        let s1 = connect_serial(&mut blocks, &order(), &[], &mut cache);
+        let s1 = connect(&mut blocks, &order(), &[], &mut cache, None);
         assert!(!cache.is_empty());
-        let s2 = connect_serial(&mut blocks, &order(), &[], &mut cache);
+        let s2 = connect(&mut blocks, &order(), &[], &mut cache, None);
         assert_eq!(s1.igbps, s2.igbps);
         assert!(
             s2.walk_steps < s1.walk_steps / 2,
@@ -273,7 +265,7 @@ mod tests {
         let solids =
             vec![(0usize, Solid::Ellipsoid { center: [2.0, 2.0, 0.0], radii: [0.4, 0.4, 10.0] })];
         let mut cache = SerialCache::new();
-        let stats = connect_serial(&mut blocks, &order(), &solids, &mut cache);
+        let stats = connect(&mut blocks, &order(), &solids, &mut cache, None);
         // Background has a hole with fringe; those fringes find donors on
         // the fine inner grid (which covers [1,3]^2).
         let bg_holes = blocks[1]
@@ -289,12 +281,12 @@ mod tests {
     fn moving_inner_grid_updates_connectivity() {
         let mut blocks = two_grid_system();
         let mut cache = SerialCache::new();
-        connect_serial(&mut blocks, &order(), &[], &mut cache);
+        connect(&mut blocks, &order(), &[], &mut cache, None);
         let n0 = cache.len();
         // Move the inner grid; donors must re-resolve.
         let t = overset_grid::RigidTransform::translation([0.05, 0.02, 0.0]);
         blocks[0].apply_motion(&t, 0.1);
-        let stats = connect_serial(&mut blocks, &order(), &[], &mut cache);
+        let stats = connect(&mut blocks, &order(), &[], &mut cache, None);
         assert_eq!(stats.orphans, 0);
         assert!(cache.len() >= n0);
     }
@@ -305,9 +297,9 @@ mod tests {
         let mut b = two_grid_system();
         let mut ca = SerialCache::new();
         let mut cb = SerialCache::new();
-        let sa = connect_serial(&mut a, &order(), &[], &mut ca);
+        let sa = connect(&mut a, &order(), &[], &mut ca, None);
         let maps: Vec<InverseMap> = b.iter().map(InverseMap::build).collect();
-        let sb = connect_serial_with_maps(&mut b, &order(), &[], &mut cb, Some(&maps));
+        let sb = connect(&mut b, &order(), &[], &mut cb, Some(&maps));
         assert_eq!(sa.igbps, sb.igbps);
         assert_eq!(sa.resolved, sb.resolved);
         assert_eq!(sa.orphans, sb.orphans);
@@ -325,7 +317,7 @@ mod tests {
         // Restrict the search so the inner grid's fringe finds nothing.
         let bad_order = vec![vec![], vec![0]];
         let mut cache = SerialCache::new();
-        let stats = connect_serial(&mut blocks, &bad_order, &[], &mut cache);
+        let stats = connect(&mut blocks, &bad_order, &[], &mut cache, None);
         assert!(stats.orphans > 0);
     }
 }

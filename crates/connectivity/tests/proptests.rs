@@ -5,7 +5,7 @@ use overset_connectivity::{interpolate, walk_search, SearchCost, SearchOutcome};
 use overset_grid::curvilinear::{CurvilinearGrid, GridKind};
 use overset_grid::field::Field3;
 use overset_grid::{Dims, Ijk};
-use overset_solver::{Block, FlowConditions};
+use overset_solver::{Block, FlowConditions, Isa};
 use proptest::prelude::*;
 
 fn fc() -> FlowConditions {
@@ -58,7 +58,7 @@ proptest! {
         }
         let start = b.to_local(Ijk::new(si, sj, sk));
         let mut cost = SearchCost::default();
-        match walk_search(&b, target, start, &mut cost) {
+        match walk_search(&b, target, start, &mut cost, false, Isa::Scalar) {
             SearchOutcome::Found(d) => {
                 // Verify by interpolating the coordinates themselves.
                 let mut bb = wavy_block(10, amp);
@@ -90,7 +90,7 @@ proptest! {
         let mut target = [3.5f64; 3];
         target[dir / 2] += if dir % 2 == 0 { dx } else { -dx };
         let mut cost = SearchCost::default();
-        let out = walk_search(&b, target, center_start(&b), &mut cost);
+        let out = walk_search(&b, target, center_start(&b), &mut cost, false, Isa::Scalar);
         prop_assert!(!matches!(out, SearchOutcome::Found(_)), "found {out:?}");
     }
 
@@ -109,7 +109,7 @@ proptest! {
         }
         let target = [px, py, pz];
         let mut cost = SearchCost::default();
-        if let SearchOutcome::Found(dn) = walk_search(&b, target, center_start(&b), &mut cost) {
+        if let SearchOutcome::Found(dn) = walk_search(&b, target, center_start(&b), &mut cost, false, Isa::Scalar) {
             let q = interpolate(&b, &dn);
             let expect = a * px + bcoef * py + c * pz + d0;
             prop_assert!((q[0] - expect).abs() < 1e-8, "{} vs {}", q[0], expect);
@@ -124,7 +124,7 @@ proptest! {
     ) {
         let b = wavy_block(8, 0.15);
         let mut cost = SearchCost::default();
-        let _ = walk_search(&b, [px, py, pz], center_start(&b), &mut cost);
+        let _ = walk_search(&b, [px, py, pz], center_start(&b), &mut cost, false, Isa::Scalar);
         prop_assert!(cost.walk_steps >= 1);
         prop_assert!(cost.flops() >= cost.walk_steps * 60);
         // Greedy fallback budget bounds the total walk.

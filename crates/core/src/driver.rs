@@ -13,13 +13,12 @@ use overset_comm::metrics::names;
 use overset_comm::trace::{ArgVal, RankTrace, TraceConfig};
 use overset_comm::{
     AllocRecord, AllocTotals, Comm, MachineModel, MetricsRegistry, OversetError, PerfSummary,
-    Phase, RankStats, StepRecord, TransportConfig, Universe, VecPool, Wire, WireError, WireReader,
-    WorkClass, NUM_PHASES,
+    Phase, RankOutput, RankStats, StepRecord, TransportConfig, Universe, VecPool, Wire, WireError,
+    WireReader, WorkClass, NUM_PHASES,
 };
 use overset_connectivity::{
-    connect_distributed_arena, connect_serial_arena, cut_holes_and_find_fringe,
-    cut_holes_and_find_fringe_arena, ConnArena, DonorCache, InverseMap, SerialCache,
-    FLOPS_PER_INCR_UPDATE,
+    connect_distributed_arena, connect_serial_arena, cut_holes_and_find_fringe_arena, ConnArena,
+    DonorCache, InverseMap, SerialCache, FLOPS_PER_INCR_UPDATE,
 };
 use overset_grid::curvilinear::{CurvilinearGrid, Solid};
 use overset_grid::transform::RigidTransform;
@@ -122,10 +121,10 @@ impl CaseConfig {
         self.grids.iter().map(|g| g.num_points()).sum()
     }
 
-    /// Start building a case from its required geometry and flow inputs;
-    /// every runtime toggle (restart cache, inverse map, tracing, thread
-    /// bound, transport backend, load balancing) has a default and a
-    /// setter — the single place CLI flags map onto configuration.
+    /// Start building a case from its required geometry and flow inputs.
+    /// Every runtime toggle (restart cache, inverse map, tracing, thread
+    /// bound, transport backend, load balancing) gets its default here and
+    /// is changed by assigning the built config's public field.
     pub fn builder(
         name: impl Into<String>,
         grids: Vec<CurvilinearGrid>,
@@ -157,7 +156,8 @@ impl CaseConfig {
 }
 
 /// Builder for [`CaseConfig`]: geometry comes in through
-/// [`CaseConfig::builder`], toggles through the setters below.
+/// [`CaseConfig::builder`], the motions and step count through the setters
+/// below.
 #[derive(Clone)]
 pub struct CaseConfigBuilder {
     cfg: CaseConfig,
@@ -174,65 +174,14 @@ impl CaseConfigBuilder {
         self
     }
 
-    pub fn lb(mut self, lb: LbConfig) -> Self {
-        self.cfg.lb = lb;
-        self
-    }
-
-    pub fn collect_state(mut self, on: bool) -> Self {
-        self.cfg.collect_state = on;
-        self
-    }
-
-    pub fn use_restart(mut self, on: bool) -> Self {
-        self.cfg.use_restart = on;
-        self
-    }
-
-    pub fn use_inverse_map(mut self, on: bool) -> Self {
-        self.cfg.use_inverse_map = on;
-        self
-    }
-
-    pub fn use_arena(mut self, on: bool) -> Self {
-        self.cfg.use_arena = on;
-        self
-    }
-
-    pub fn use_incremental_invmap(mut self, on: bool) -> Self {
-        self.cfg.use_incremental_invmap = on;
-        self
-    }
-
-    pub fn use_simd(mut self, on: bool) -> Self {
-        self.cfg.use_simd = on;
-        self
-    }
-
-    pub fn trace(mut self, trace: TraceConfig) -> Self {
-        self.cfg.trace = trace;
-        self
-    }
-
-    pub fn max_threads(mut self, n: Option<usize>) -> Self {
-        self.cfg.max_threads = n;
-        self
-    }
-
-    pub fn transport(mut self, t: TransportConfig) -> Self {
-        self.cfg.transport = t;
-        self
-    }
-
-    pub fn inject_alloc(mut self, bytes: usize) -> Self {
-        self.cfg.inject_alloc = bytes;
-        self
-    }
-
     pub fn build(self) -> CaseConfig {
         self.cfg
     }
 }
+
+/// One field node's final state: (grid, global node index, conserved
+/// vector).
+pub type NodeState = (usize, overset_grid::Ijk, [f64; 5]);
 
 /// Aggregated outcome of a run: the raw material for every table row.
 #[derive(Clone, Debug)]
@@ -287,7 +236,7 @@ pub struct RunResult {
     /// [`RunResult::step_records`]. Deterministic like `alloc_by_rank`.
     pub alloc_records: Vec<Vec<AllocRecord>>,
     /// Final state per (grid, node) when `collect_state` was set.
-    pub states: Vec<(usize, overset_grid::Ijk, [f64; 5])>,
+    pub states: Vec<NodeState>,
 }
 
 impl RunResult {
@@ -315,6 +264,16 @@ impl RunResult {
     pub fn f_max(&self) -> f64 {
         overset_balance::service_imbalance(&self.serviced_last)
     }
+
+    /// Heap allocations made in `phase` on the last (steady-state) step,
+    /// summed over ranks. Deterministic for a fixed configuration.
+    pub fn last_step_allocs(&self, phase: Phase) -> u64 {
+        self.alloc_records
+            .iter()
+            .filter_map(|recs| recs.last())
+            .map(|a| a.allocs[phase as usize])
+            .sum()
+    }
 }
 
 /// Per-rank return value collected by `run_case`.
@@ -322,7 +281,7 @@ struct RankReturn {
     phase_elapsed: [f64; NUM_PHASES],
     state_sum_sq: f64,
     state_count: usize,
-    states: Vec<(usize, overset_grid::Ijk, [f64; 5])>,
+    states: Vec<NodeState>,
     igbps_last: usize,
     serviced_last: usize,
     orphans_last: usize,
@@ -423,7 +382,11 @@ pub fn run_case(
     }
     let outputs =
         builder.try_run(|comm| run_rank(cfg, &sizes, &dims, base_partition.clone(), comm))?;
+    Ok(assemble(cfg, outputs))
+}
 
+/// Fold the per-rank outputs of either driver into one [`RunResult`].
+fn assemble(cfg: &CaseConfig, outputs: Vec<RankOutput<RankReturn>>) -> RunResult {
     let rank_stats: Vec<RankStats> = outputs.iter().map(|o| o.stats.clone()).collect();
     let summary = PerfSummary::from_ranks(&rank_stats);
     let mut metrics = MetricsRegistry::new();
@@ -442,12 +405,7 @@ pub fn run_case(
     let sum_sq: f64 = outputs.iter().map(|o| o.result.state_sum_sq).sum();
     let count: usize = outputs.iter().map(|o| o.result.state_count).sum();
     let r0 = &outputs[0].result;
-    let mut states = Vec::new();
-    if cfg.collect_state {
-        for o in &outputs {
-            states.extend_from_slice(&o.result.states);
-        }
-    }
+    let states = outputs.iter().flat_map(|o| o.result.states.iter().copied()).collect();
     let step_records: Vec<Vec<StepRecord>> = outputs.iter().map(|o| o.steps.clone()).collect();
     let steps_dropped: u64 = outputs.iter().map(|o| o.steps_dropped).sum();
     let host_phase_elapsed = host_phase_max(outputs.iter().map(|o| &o.host_time));
@@ -455,8 +413,8 @@ pub fn run_case(
     let alloc_by_rank: Vec<AllocTotals> = outputs.iter().map(|o| o.alloc).collect();
     let alloc_records: Vec<Vec<AllocRecord>> =
         outputs.iter().map(|o| o.alloc_steps.clone()).collect();
-    Ok(RunResult {
-        nranks,
+    RunResult {
+        nranks: outputs.len(),
         states,
         state_rms: (sum_sq / count.max(1) as f64).sqrt(),
         steps: cfg.steps,
@@ -478,7 +436,33 @@ pub fn run_case(
         alloc_by_rank,
         alloc_records,
         summary,
-    })
+    }
+}
+
+/// Physics checksum over the owned field nodes of `blocks` — sum of
+/// squares and node count, in block then node order — plus the node states
+/// themselves (grid, global index, conserved vector) when `collect` is set.
+fn gather_state<'a>(
+    blocks: impl IntoIterator<Item = &'a overset_solver::Block>,
+    collect: bool,
+) -> (f64, usize, Vec<NodeState>) {
+    let mut sum_sq = 0.0f64;
+    let mut count = 0usize;
+    let mut states = Vec::new();
+    for block in blocks {
+        for p in block.owned_local().iter() {
+            if block.iblank[p] != overset_solver::Blank::Field {
+                continue;
+            }
+            let q = block.q.node(p);
+            sum_sq += q.iter().map(|v| v * v).sum::<f64>();
+            count += 1;
+            if collect {
+                states.push((block.grid_id, block.to_global(p), *q));
+            }
+        }
+    }
+    (sum_sq, count, states)
 }
 
 /// Per-phase host wall-clock elapsed: max over ranks, since the slowest
@@ -825,8 +809,15 @@ fn run_rank(
                 pending_motion = None;
                 // Restore blanking on the new block immediately: the next
                 // flow step must not treat redistributed hole values as
-                // live field points.
-                let (_, hole_flops) = cut_holes_and_find_fringe(&mut block, &solids);
+                // live field points. A throwaway arena: this one-off re-cut
+                // must not change what the rank arena's pools hold when the
+                // connectivity phase next runs.
+                let (_, hole_flops) = cut_holes_and_find_fringe_arena(
+                    &mut block,
+                    &solids,
+                    None,
+                    &mut ConnArena::new(),
+                );
                 ph.compute(hole_flops as f64, WorkClass::Search);
                 // Restore the ALE grid velocities of a moving grid (the
                 // rebuilt block is at the current pose with zero velocity).
@@ -854,20 +845,7 @@ fn run_rank(
 
     // Physics checksum over owned field nodes.
     let _ph = comm.phase(Phase::Other);
-    let mut state_sum_sq = 0.0f64;
-    let mut state_count = 0usize;
-    let mut states = Vec::new();
-    for p in block.owned_local().iter() {
-        if block.iblank[p] != overset_solver::Blank::Field {
-            continue;
-        }
-        let q = block.q.node(p);
-        state_sum_sq += q.iter().map(|v| v * v).sum::<f64>();
-        state_count += 1;
-        if cfg.collect_state {
-            states.push((block.grid_id, block.to_global(p), *q));
-        }
-    }
+    let (state_sum_sq, state_count, states) = gather_state([&block], cfg.collect_state);
 
     RankReturn {
         phase_elapsed,
@@ -1087,66 +1065,18 @@ pub fn run_case_serial(
             comm.end_step();
         }
         let _ph = comm.phase(Phase::Other);
-        let mut sum_sq = 0.0f64;
-        let mut count = 0usize;
-        for b in &blocks {
-            for p in b.owned_local().iter() {
-                if b.iblank[p] != overset_solver::Blank::Field {
-                    continue;
-                }
-                let q = b.q.node(p);
-                sum_sq += q.iter().map(|v| v * v).sum::<f64>();
-                count += 1;
-            }
+        let (state_sum_sq, state_count, states) = gather_state(&blocks, cfg.collect_state);
+        RankReturn {
+            phase_elapsed,
+            state_sum_sq,
+            state_count,
+            states,
+            igbps_last,
+            serviced_last: igbps_last,
+            orphans_last,
+            repartitions: 0,
+            np_final: vec![1; ngrids],
         }
-        (phase_elapsed, igbps_last, orphans_last, sum_sq, count)
     });
-
-    let rank_stats: Vec<RankStats> = outputs.iter().map(|o| o.stats.clone()).collect();
-    let summary = PerfSummary::from_ranks(&rank_stats);
-    let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
-        metrics.merge_from(&o.metrics);
-    }
-    let trace: Vec<RankTrace> = if cfg.trace.enabled {
-        outputs
-            .iter()
-            .enumerate()
-            .map(|(rank, o)| RankTrace { rank, events: o.trace.clone() })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let (phase_elapsed, igbps_last, orphans_last, sum_sq, count) = outputs[0].result;
-    let step_records: Vec<Vec<StepRecord>> = outputs.iter().map(|o| o.steps.clone()).collect();
-    let steps_dropped: u64 = outputs.iter().map(|o| o.steps_dropped).sum();
-    let host_phase_elapsed = host_phase_max(outputs.iter().map(|o| &o.host_time));
-    let host_phase_by_rank: Vec<[f64; NUM_PHASES]> = outputs.iter().map(|o| o.host_time).collect();
-    let alloc_by_rank: Vec<AllocTotals> = outputs.iter().map(|o| o.alloc).collect();
-    let alloc_records: Vec<Vec<AllocRecord>> =
-        outputs.iter().map(|o| o.alloc_steps.clone()).collect();
-    Ok(RunResult {
-        nranks: 1,
-        states: Vec::new(),
-        state_rms: (sum_sq / count.max(1) as f64).sqrt(),
-        steps: cfg.steps,
-        total_points: cfg.total_points(),
-        phase_elapsed,
-        wall_time: summary.wall_time,
-        igbps_last,
-        serviced_last: vec![igbps_last],
-        orphans_last,
-        repartitions: 0,
-        np_final: vec![1; cfg.grids.len()],
-        rank_stats,
-        trace,
-        metrics,
-        step_records,
-        steps_dropped,
-        host_phase_elapsed,
-        host_phase_by_rank,
-        alloc_by_rank,
-        alloc_records,
-        summary,
-    })
+    Ok(assemble(cfg, outputs))
 }

@@ -18,14 +18,18 @@
 //!
 //! Entry points: [`driver::run_case`] (parallel, N ranks of a machine
 //! model) and [`driver::run_case_serial`] (single-processor baseline);
-//! [`cases`] builds the paper's three test problems.
+//! [`cases`] builds the paper's three test problems. Two runs are compared
+//! with [`RunResult::first_divergence`] at an [`Equivalence`] level
+//! ([`oracle`]).
 
 pub mod cases;
 pub mod comm_impl;
 pub mod driver;
 pub mod export;
+pub mod oracle;
 pub mod redistribute;
 pub mod setup;
 
 pub use cases::{airfoil_case, delta_wing_case, store_case, store_case_sixdof};
 pub use driver::{run_case, run_case_serial, CaseConfig, LbConfig, RunResult};
+pub use oracle::Equivalence;

@@ -7,36 +7,8 @@
 //! bit-identical with the arena disabled, and the deterministic allocation
 //! counters must show the recycling actually happened.
 
-use overflow_d::{airfoil_case, run_case, store_case, LbConfig, RunResult};
-use overset_comm::{MachineModel, Phase, TransportConfig};
-
-/// Connectivity-phase allocation count on the final (steady-state) step,
-/// summed over ranks. Deterministic for a fixed configuration.
-fn conn_allocs_last_step(r: &RunResult) -> u64 {
-    r.alloc_records
-        .iter()
-        .filter_map(|recs| recs.last())
-        .map(|a| a.allocs[Phase::Connectivity as usize])
-        .sum()
-}
-
-/// Everything that must not notice the arena: physics checksum, global and
-/// per-phase virtual clocks, and the connectivity censuses.
-fn assert_bit_identical(on: &RunResult, off: &RunResult, what: &str) {
-    assert_eq!(
-        on.state_rms.to_bits(),
-        off.state_rms.to_bits(),
-        "{what}: state diverged: {} vs {}",
-        on.state_rms,
-        off.state_rms
-    );
-    assert_eq!(on.wall_time.to_bits(), off.wall_time.to_bits(), "{what}: virtual time diverged");
-    for (p, (a, b)) in on.phase_elapsed.iter().zip(&off.phase_elapsed).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "{what}: phase {p} time diverged");
-    }
-    assert_eq!(on.orphans_last, off.orphans_last, "{what}: orphan census diverged");
-    assert_eq!(on.igbps_last, off.igbps_last, "{what}: fringe census diverged");
-}
+use overflow_d::{airfoil_case, run_case, store_case, Equivalence, LbConfig};
+use overset_comm::{MachineModel, Phase::Connectivity, TransportConfig};
 
 #[test]
 fn arena_survives_repartitions_bit_identically() {
@@ -46,6 +18,7 @@ fn arena_survives_repartitions_bit_identically() {
     // boundary.
     let mut cfg = airfoil_case(0.3, 8);
     cfg.lb = LbConfig::dynamic(1.05, 2);
+    cfg.collect_state = true;
     cfg.use_arena = true;
     let on = run_case(&cfg, 8, &MachineModel::modern()).unwrap();
     cfg.use_arena = false;
@@ -53,9 +26,9 @@ fn arena_survives_repartitions_bit_identically() {
 
     assert!(on.repartitions >= 1, "case never repartitioned; the test lost its point");
     assert_eq!(on.repartitions, off.repartitions, "arena changed repartition decisions");
-    assert_bit_identical(&on, &off, "repartition");
+    assert_eq!(on.first_divergence(&off, Equivalence::Clocks), None, "repartition");
 
-    let (a_on, a_off) = (conn_allocs_last_step(&on), conn_allocs_last_step(&off));
+    let (a_on, a_off) = (on.last_step_allocs(Connectivity), off.last_step_allocs(Connectivity));
     assert!(a_on < a_off, "arena recycled nothing after repartition: {a_on} vs {a_off}");
 }
 
@@ -65,26 +38,21 @@ fn arena_bit_identical_under_mn_scheduler() {
     // ranks, not threads, so scheduling must not perturb anything.
     let mut cfg = store_case(0.3, 3);
     cfg.max_threads = Some(4);
+    cfg.collect_state = true;
     cfg.use_arena = true;
     let on = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
     cfg.use_arena = false;
     let off = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
-    assert_bit_identical(&on, &off, "m:n scheduler");
-    let (a_on, a_off) = (conn_allocs_last_step(&on), conn_allocs_last_step(&off));
+    assert_eq!(on.first_divergence(&off, Equivalence::Clocks), None, "m:n scheduler");
+    let (a_on, a_off) = (on.last_step_allocs(Connectivity), off.last_step_allocs(Connectivity));
     assert!(a_on < a_off, "arena recycled nothing under M:N: {a_on} vs {a_off}");
 
     // And the M:N run must match the one-thread-per-rank run bit-for-bit,
     // arena on — allocation counters included (they are deterministic).
-    let mut cfg2 = store_case(0.3, 3);
-    cfg2.max_threads = None;
-    cfg2.use_arena = true;
-    let plain = run_case(&cfg2, 16, &MachineModel::modern()).unwrap();
-    assert_bit_identical(&on, &plain, "m:n vs 1:1");
-    assert_eq!(
-        conn_allocs_last_step(&on),
-        conn_allocs_last_step(&plain),
-        "alloc counters depend on the scheduler"
-    );
+    cfg.max_threads = None;
+    cfg.use_arena = true;
+    let plain = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
+    assert_eq!(on.first_divergence(&plain, Equivalence::Full), None, "m:n vs 1:1");
 }
 
 #[test]
@@ -97,6 +65,7 @@ fn arena_bit_identical_on_process_transport() {
     // own `establish` without replaying the in-process runs.)
     let machine = MachineModel::modern();
     let mut cfg = store_case(0.3, 3);
+    cfg.collect_state = true;
     cfg.transport =
         TransportConfig::process_for_test(2, "arena_bit_identical_on_process_transport");
     cfg.use_arena = true;
@@ -105,13 +74,18 @@ fn arena_bit_identical_on_process_transport() {
         TransportConfig::process_for_test(2, "arena_bit_identical_on_process_transport");
     cfg.use_arena = false;
     let proc_off = run_case(&cfg, 16, &machine).unwrap();
-    assert_bit_identical(&proc_on, &proc_off, "proc transport");
-    let (a_on, a_off) = (conn_allocs_last_step(&proc_on), conn_allocs_last_step(&proc_off));
+    assert_eq!(proc_on.first_divergence(&proc_off, Equivalence::Clocks), None, "proc transport");
+    let (a_on, a_off) =
+        (proc_on.last_step_allocs(Connectivity), proc_off.last_step_allocs(Connectivity));
     assert!(a_on < a_off, "arena recycled nothing on proc transport: {a_on} vs {a_off}");
 
     // Cross-transport: same arena-on case in-process must agree bit-for-bit.
     cfg.transport = TransportConfig::InProcess;
     cfg.use_arena = true;
     let inproc_on = run_case(&cfg, 16, &machine).unwrap();
-    assert_bit_identical(&proc_on, &inproc_on, "proc vs in-process");
+    assert_eq!(
+        proc_on.first_divergence(&inproc_on, Equivalence::Clocks),
+        None,
+        "proc vs in-process"
+    );
 }

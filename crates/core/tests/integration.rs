@@ -1,7 +1,9 @@
 //! End-to-end integration tests spanning the whole stack: grids, balancer,
 //! solver, connectivity, motion, driver.
 
-use overflow_d::{airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, LbConfig};
+use overflow_d::{
+    airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, Equivalence, LbConfig,
+};
 use overset_comm::MachineModel;
 
 fn modern() -> MachineModel {
@@ -46,20 +48,40 @@ fn parallel_matches_serial_physics() {
 }
 
 #[test]
+fn serial_run_collects_one_state_per_field_node() {
+    let mut cfg = airfoil_case(0.3, 2);
+    cfg.collect_state = true;
+    let ser = run_case_serial(&cfg, &modern()).unwrap();
+    // The distributed run's field node set, each node once, and a checksum
+    // that recomputes to the driver's bits from the collected states.
+    let keys = |r: &overflow_d::RunResult| {
+        let mut k: Vec<_> = r.states.iter().map(|s| (s.0, s.1.i, s.1.j, s.1.k)).collect();
+        k.sort_unstable();
+        k
+    };
+    assert_eq!(keys(&ser), keys(&run_case(&cfg, 6, &modern()).unwrap()));
+    assert!(!ser.states.is_empty() && keys(&ser).windows(2).all(|w| w[0] != w[1]));
+    let sum_sq: f64 = ser.states.iter().map(|s| s.2.iter().map(|v| v * v).sum::<f64>()).sum();
+    assert_eq!((sum_sq / ser.states.len() as f64).sqrt(), ser.state_rms);
+}
+
+#[test]
 fn virtual_time_is_deterministic() {
-    let a = run_case(&airfoil_case(0.3, 3), 6, &MachineModel::ibm_sp2()).unwrap();
-    let b = run_case(&airfoil_case(0.3, 3), 6, &MachineModel::ibm_sp2()).unwrap();
-    assert_eq!(a.wall_time.to_bits(), b.wall_time.to_bits());
-    assert_eq!(a.state_rms.to_bits(), b.state_rms.to_bits());
-    assert_eq!(a.serviced_last, b.serviced_last);
+    let mut cfg = airfoil_case(0.3, 3);
+    cfg.collect_state = true;
+    let a = run_case(&cfg, 6, &MachineModel::ibm_sp2()).unwrap();
+    let b = run_case(&cfg, 6, &MachineModel::ibm_sp2()).unwrap();
+    assert_eq!(a.first_divergence(&b, Equivalence::Full), None);
 }
 
 #[test]
 fn faster_machine_is_faster_same_physics() {
-    let sp2 = run_case(&airfoil_case(0.3, 3), 6, &MachineModel::ibm_sp2()).unwrap();
-    let sp = run_case(&airfoil_case(0.3, 3), 6, &MachineModel::ibm_sp()).unwrap();
+    let mut cfg = airfoil_case(0.3, 3);
+    cfg.collect_state = true;
+    let sp2 = run_case(&cfg, 6, &MachineModel::ibm_sp2()).unwrap();
+    let sp = run_case(&cfg, 6, &MachineModel::ibm_sp()).unwrap();
     assert!(sp.wall_time < sp2.wall_time);
-    assert_eq!(sp.state_rms.to_bits(), sp2.state_rms.to_bits());
+    assert_eq!(sp.first_divergence(&sp2, Equivalence::Answers), None);
 }
 
 #[test]

@@ -7,11 +7,12 @@
 //! the same orphan census, while the accelerated path performs measurably
 //! fewer walk steps and forwards fewer requests between ranks.
 
-use overflow_d::{airfoil_case, run_case, store_case, CaseConfig, RunResult};
+use overflow_d::{airfoil_case, run_case, store_case, CaseConfig, Equivalence, RunResult};
 use overset_comm::{metrics::names, MachineModel};
 use overset_motion::BodyMotion;
 
 fn ablate(mut cfg: CaseConfig, nranks: usize) -> (RunResult, RunResult) {
+    cfg.collect_state = true;
     cfg.use_inverse_map = true;
     let on = run_case(&cfg, nranks, &MachineModel::modern()).unwrap();
     cfg.use_inverse_map = false;
@@ -21,16 +22,8 @@ fn ablate(mut cfg: CaseConfig, nranks: usize) -> (RunResult, RunResult) {
 
 fn assert_same_answers_less_work(on: &RunResult, off: &RunResult, case: &str) {
     // Identical donors: interpolation weights feed every fringe update, so
-    // any donor-cell or weight difference would perturb the state checksum.
-    assert_eq!(
-        on.state_rms.to_bits(),
-        off.state_rms.to_bits(),
-        "{case}: state diverged: map-on {} vs map-off {}",
-        on.state_rms,
-        off.state_rms
-    );
-    assert_eq!(on.orphans_last, off.orphans_last, "{case}: orphan census diverged");
-    assert_eq!(on.igbps_last, off.igbps_last, "{case}: fringe census diverged");
+    // any donor-cell or weight difference would perturb the final state.
+    assert_eq!(on.first_divergence(off, Equivalence::Answers), None, "{case}");
 
     // Measurably less work: seeded cold starts shorten walks, occupancy
     // pruning drops certain-miss ranks from the candidate rotation.
@@ -68,11 +61,13 @@ fn store_donors_identical_with_fewer_walk_steps() {
 #[test]
 fn serial_driver_honors_the_flag_too() {
     let mut cfg = airfoil_case(0.35, 3);
+    cfg.collect_state = true;
     cfg.use_inverse_map = true;
     let on = overflow_d::run_case_serial(&cfg, &MachineModel::modern()).unwrap();
     cfg.use_inverse_map = false;
     let off = overflow_d::run_case_serial(&cfg, &MachineModel::modern()).unwrap();
-    assert_eq!(on.state_rms.to_bits(), off.state_rms.to_bits());
+    assert!(!on.states.is_empty(), "serial driver dropped collect_state");
+    assert_eq!(on.first_divergence(&off, Equivalence::Answers), None);
     let (w_on, w_off) =
         (on.metrics.counter(names::CONN_WALK_STEPS), off.metrics.counter(names::CONN_WALK_STEPS));
     assert!(w_on < w_off, "serial walk steps: {w_on} vs {w_off}");
@@ -85,36 +80,20 @@ fn serial_driver_honors_the_flag_too() {
 // the bit; the host-side allocation counters are the only legal difference.
 // ---------------------------------------------------------------------------
 
-fn conn_allocs_last_step(r: &RunResult) -> u64 {
-    use overset_comm::Phase;
-    r.alloc_records
-        .iter()
-        .filter_map(|recs| recs.last())
-        .map(|a| a.allocs[Phase::Connectivity as usize])
-        .sum()
-}
-
 #[test]
 fn arena_toggle_is_bit_identical_with_fewer_allocations() {
     let mut cfg = store_case(0.3, 4);
+    cfg.collect_state = true;
     cfg.use_arena = true;
     let on = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
     cfg.use_arena = false;
     let off = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
-
-    assert_eq!(on.state_rms.to_bits(), off.state_rms.to_bits(), "state diverged");
-    assert_eq!(on.wall_time.to_bits(), off.wall_time.to_bits(), "virtual time diverged");
-    assert_eq!(on.orphans_last, off.orphans_last);
-    assert_eq!(on.igbps_last, off.igbps_last);
-    assert_eq!(
-        on.metrics.counter(names::CONN_WALK_STEPS),
-        off.metrics.counter(names::CONN_WALK_STEPS),
-        "walk outcomes diverged"
-    );
+    assert_eq!(on.first_divergence(&off, Equivalence::Clocks), None);
 
     // The point of the arena: steady-state steps reuse capacity instead of
     // reallocating it. Cold steps (the first) are allowed to be equal.
-    let (a_on, a_off) = (conn_allocs_last_step(&on), conn_allocs_last_step(&off));
+    use overset_comm::Phase::Connectivity;
+    let (a_on, a_off) = (on.last_step_allocs(Connectivity), off.last_step_allocs(Connectivity));
     assert!(a_on * 5 <= a_off, "arena did not cut steady-state allocations: {a_on} vs {a_off}");
 }
 
@@ -129,14 +108,12 @@ fn arena_toggle_is_bit_identical_with_fewer_allocations() {
 fn incremental_invmap_is_bit_identical_and_rebuilds_less() {
     let mut cfg = airfoil_case(0.3, 12);
     cfg.fc.dt = 0.01; // appreciable per-step motion, still far below fallback
+    cfg.collect_state = true;
     cfg.use_incremental_invmap = true;
     let on = run_case(&cfg, 6, &MachineModel::modern()).unwrap();
     cfg.use_incremental_invmap = false;
     let off = run_case(&cfg, 6, &MachineModel::modern()).unwrap();
-
-    assert_eq!(on.state_rms.to_bits(), off.state_rms.to_bits(), "state diverged");
-    assert_eq!(on.orphans_last, off.orphans_last, "orphan census diverged");
-    assert_eq!(on.igbps_last, off.igbps_last, "fringe census diverged");
+    assert_eq!(on.first_divergence(&off, Equivalence::Answers), None);
 
     let builds_on = on.metrics.counter(names::CONN_INVMAP_BUILDS);
     let builds_off = off.metrics.counter(names::CONN_INVMAP_BUILDS);
@@ -168,13 +145,12 @@ fn incremental_invmap_falls_back_past_rotation_threshold() {
             time: 0.0,
         },
     )];
+    cfg.collect_state = true;
     cfg.use_incremental_invmap = true;
     let on = run_case(&cfg, 6, &MachineModel::modern()).unwrap();
     cfg.use_incremental_invmap = false;
     let off = run_case(&cfg, 6, &MachineModel::modern()).unwrap();
-
-    assert_eq!(on.state_rms.to_bits(), off.state_rms.to_bits(), "state diverged");
-    assert_eq!(on.orphans_last, off.orphans_last);
+    assert_eq!(on.first_divergence(&off, Equivalence::Answers), None);
 
     let builds_on = on.metrics.counter(names::CONN_INVMAP_BUILDS);
     let incr_on = on.metrics.counter(names::CONN_INVMAP_INCR);
@@ -196,6 +172,7 @@ fn negligible_motion_never_marks_grids_moved() {
     use overset_motion::Prescribed;
     let mk_zero = || {
         let mut cfg = airfoil_case(0.3, 6);
+        cfg.collect_state = true;
         // Zero-amplitude pitch: every step's transform is the exact identity.
         cfg.motions = vec![BodyMotion::prescribed(
             vec![0],
@@ -211,6 +188,7 @@ fn negligible_motion_never_marks_grids_moved() {
     };
     let mk_none = || {
         let mut cfg = airfoil_case(0.3, 6);
+        cfg.collect_state = true;
         cfg.motions = vec![];
         cfg
     };
@@ -218,7 +196,7 @@ fn negligible_motion_never_marks_grids_moved() {
     let none = run_case(&mk_none(), 6, &MachineModel::modern()).unwrap();
 
     // Identity motion is physically indistinguishable from no motion.
-    assert_eq!(zero.state_rms.to_bits(), none.state_rms.to_bits(), "identity motion moved state");
+    assert_eq!(zero.first_divergence(&none, Equivalence::Answers), None, "identity motion");
     assert_eq!(
         zero.metrics.counter(names::CONN_WALK_STEPS),
         none.metrics.counter(names::CONN_WALK_STEPS),

@@ -6,35 +6,18 @@
 //! bit-identical, in-process, under the M:N scheduler, and across the
 //! multi-process transport.
 
-use overflow_d::{airfoil_case, run_case, store_case, RunResult};
+use overflow_d::{airfoil_case, run_case, store_case, Equivalence};
 use overset_comm::{MachineModel, TransportConfig};
-
-/// Everything that must not notice the instruction set: physics checksum,
-/// global and per-phase virtual clocks, and the connectivity censuses.
-fn assert_bit_identical(on: &RunResult, off: &RunResult, what: &str) {
-    assert_eq!(
-        on.state_rms.to_bits(),
-        off.state_rms.to_bits(),
-        "{what}: state diverged: {} vs {}",
-        on.state_rms,
-        off.state_rms
-    );
-    assert_eq!(on.wall_time.to_bits(), off.wall_time.to_bits(), "{what}: virtual time diverged");
-    for (p, (a, b)) in on.phase_elapsed.iter().zip(&off.phase_elapsed).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "{what}: phase {p} time diverged");
-    }
-    assert_eq!(on.orphans_last, off.orphans_last, "{what}: orphan census diverged");
-    assert_eq!(on.igbps_last, off.igbps_last, "{what}: fringe census diverged");
-}
 
 #[test]
 fn simd_ablation_airfoil_bit_identical() {
     let mut cfg = airfoil_case(0.3, 8);
+    cfg.collect_state = true;
     cfg.use_simd = true;
     let on = run_case(&cfg, 8, &MachineModel::modern()).unwrap();
     cfg.use_simd = false;
     let off = run_case(&cfg, 8, &MachineModel::modern()).unwrap();
-    assert_bit_identical(&on, &off, "airfoil");
+    assert_eq!(on.first_divergence(&off, Equivalence::Full), None, "airfoil");
 }
 
 #[test]
@@ -44,11 +27,12 @@ fn simd_ablation_store_bit_identical_under_mn_scheduler() {
     // between polls must not perturb anything.
     let mut cfg = store_case(0.3, 3);
     cfg.max_threads = Some(4);
+    cfg.collect_state = true;
     cfg.use_simd = true;
     let on = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
     cfg.use_simd = false;
     let off = run_case(&cfg, 16, &MachineModel::modern()).unwrap();
-    assert_bit_identical(&on, &off, "m:n scheduler");
+    assert_eq!(on.first_divergence(&off, Equivalence::Full), None, "m:n scheduler");
 }
 
 #[test]
@@ -57,6 +41,7 @@ fn simd_ablation_bit_identical_on_process_transport() {
     // config; serialization must not smuggle host-dependent state across.
     let machine = MachineModel::modern();
     let mut cfg = store_case(0.3, 3);
+    cfg.collect_state = true;
     cfg.transport =
         TransportConfig::process_for_test(2, "simd_ablation_bit_identical_on_process_transport");
     cfg.use_simd = true;
@@ -65,11 +50,15 @@ fn simd_ablation_bit_identical_on_process_transport() {
         TransportConfig::process_for_test(2, "simd_ablation_bit_identical_on_process_transport");
     cfg.use_simd = false;
     let proc_off = run_case(&cfg, 16, &machine).unwrap();
-    assert_bit_identical(&proc_on, &proc_off, "proc transport");
+    assert_eq!(proc_on.first_divergence(&proc_off, Equivalence::Full), None, "proc transport");
 
     // Cross-transport: the SIMD-on case in-process must agree bit-for-bit.
     cfg.transport = TransportConfig::InProcess;
     cfg.use_simd = true;
     let inproc_on = run_case(&cfg, 16, &machine).unwrap();
-    assert_bit_identical(&proc_on, &inproc_on, "proc vs in-process");
+    assert_eq!(
+        proc_on.first_divergence(&inproc_on, Equivalence::Clocks),
+        None,
+        "proc vs in-process"
+    );
 }

@@ -7,7 +7,7 @@
 //! re-execute this test and must reach the process-backed `establish`
 //! without replaying the in-process reference run.
 
-use overflow_d::{run_case, store_case};
+use overflow_d::{run_case, store_case, Equivalence};
 use overset_comm::{MachineModel, TransportConfig};
 
 const NRANKS: usize = 16;
@@ -25,65 +25,8 @@ fn store_case_bit_identical_across_transports() {
     cfg.transport = TransportConfig::InProcess;
     let inproc = run_case(&cfg, NRANKS, &machine).expect("in-process run");
 
-    // Physics checksum and global clock, to the last bit.
-    assert_eq!(
-        proc.state_rms.to_bits(),
-        inproc.state_rms.to_bits(),
-        "state RMS diverged: {} vs {}",
-        proc.state_rms,
-        inproc.state_rms
-    );
-    assert_eq!(proc.wall_time.to_bits(), inproc.wall_time.to_bits(), "wall time diverged");
-    for (p, i) in proc.phase_elapsed.iter().zip(&inproc.phase_elapsed) {
-        assert_eq!(p.to_bits(), i.to_bits(), "phase time diverged");
-    }
-
-    // Every rank's clocks and communication counters.
-    assert_eq!(proc.rank_stats.len(), inproc.rank_stats.len());
-    for (p, i) in proc.rank_stats.iter().zip(&inproc.rank_stats) {
-        assert_eq!(p.rank, i.rank);
-        assert_eq!(p.final_clock.to_bits(), i.final_clock.to_bits(), "rank {} clock", p.rank);
-        assert_eq!(p.msgs_sent, i.msgs_sent, "rank {} msgs", p.rank);
-        assert_eq!(p.bytes_sent, i.bytes_sent, "rank {} bytes", p.rank);
-        assert_eq!(p.collectives, i.collectives, "rank {} collectives", p.rank);
-        assert_eq!(p.flops, i.flops, "rank {} flops", p.rank);
-        for (a, b) in p.time.iter().zip(&i.time) {
-            assert_eq!(a.to_bits(), b.to_bits(), "rank {} phase time", p.rank);
-        }
-    }
-
-    // Aggregated metrics registries, counter by counter.
-    let counters = |m: &overset_comm::MetricsRegistry| {
-        let mut v: Vec<(&'static str, u64)> = m.counters().collect();
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(counters(&proc.metrics), counters(&inproc.metrics));
-
-    // Flight-recorder step telemetry: same per-step clocks everywhere.
-    assert_eq!(proc.step_records.len(), inproc.step_records.len());
-    for (rank, (pr, ir)) in proc.step_records.iter().zip(&inproc.step_records).enumerate() {
-        assert_eq!(pr.len(), ir.len(), "rank {rank} step count");
-        for (a, b) in pr.iter().zip(ir) {
-            assert_eq!(a.clock.to_bits(), b.clock.to_bits(), "rank {rank} step clock");
-            assert_eq!(a.msgs_sent, b.msgs_sent, "rank {rank} step msgs");
-        }
-    }
-
-    // Connectivity outcomes and the full final state, node for node.
-    assert_eq!(proc.igbps_last, inproc.igbps_last);
-    assert_eq!(proc.serviced_last, inproc.serviced_last);
-    assert_eq!(proc.orphans_last, inproc.orphans_last);
-    assert_eq!(proc.states.len(), inproc.states.len());
-    let mut ps = proc.states.clone();
-    let mut is = inproc.states.clone();
-    let key = |s: &(usize, overset_grid::Ijk, [f64; 5])| (s.0, s.1.i, s.1.j, s.1.k);
-    ps.sort_by_key(key);
-    is.sort_by_key(key);
-    for (p, i) in ps.iter().zip(&is) {
-        assert_eq!(key(p), key(i), "state node sets differ");
-        for (a, b) in p.2.iter().zip(&i.2) {
-            assert_eq!(a.to_bits(), b.to_bits(), "state value diverged at {:?}", key(p));
-        }
-    }
+    // Physics node for node, every clock, counter and step record. Host
+    // allocation counts legitimately differ: the process backend decodes
+    // each message into a fresh buffer where the in-process one moves it.
+    assert_eq!(proc.first_divergence(&inproc, Equivalence::Clocks), None);
 }

@@ -111,6 +111,17 @@ impl RigidTransform {
     }
 
     pub fn apply(&self, p: [f64; 3]) -> [f64; 3] {
+        // Without rotation the pivot cancels. Skip the round trip through
+        // it: `(x - c) + c` is not exact in floating point, so a zero-angle
+        // rotation about an off-origin pivot would otherwise nudge every
+        // point by an ulp.
+        if self.rotation == Quat::IDENTITY {
+            return [
+                p[0] + self.translation[0],
+                p[1] + self.translation[1],
+                p[2] + self.translation[2],
+            ];
+        }
         let rel = [p[0] - self.pivot[0], p[1] - self.pivot[1], p[2] - self.pivot[2]];
         let r = self.rotation.rotate(rel);
         [
@@ -221,6 +232,16 @@ mod tests {
 
     fn close(a: [f64; 3], b: [f64; 3], tol: f64) -> bool {
         a.iter().zip(b.iter()).all(|(x, y)| (x - y).abs() < tol)
+    }
+
+    #[test]
+    fn zero_angle_rotation_about_offset_pivot_is_exact() {
+        // (x - c) + c rounds for most x; the pure-translation path must not.
+        let t = RigidTransform::rotation_about([0.3, 0.0, 0.0], [0.0, 0.0, 1.0], 0.0);
+        for p in [[-1.8402312250146409, 2.0, 0.0], [-0.42597556718659746, -1.0, 0.5]] {
+            let q = t.apply(p);
+            assert_eq!(q.map(f64::to_bits), p.map(f64::to_bits), "{p:?} moved to {q:?}");
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustfmt check =="
 cargo fmt --all -- --check
 
+echo "== rustdoc (deny warnings: broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q
