@@ -32,6 +32,18 @@ fn solver_kernels(c: &mut Criterion) {
         b.iter(|| compute_residual(&block, &fc(), &mut scratch.res))
     });
 
+    // One delta-wing rank's 3-D viscous block (half the wing at scale 0.55,
+    // 34×18×45 nodes): the residual's j- and k-passes walk strided lines,
+    // and the thin-layer viscous pass runs on every node.
+    let wing = &delta_wing_system(0.55)[0];
+    let half = wing.dims().full_box().split(0, 2)[0];
+    let wing_block = Block::from_grid(0, wing, half, [None; 6], &fc());
+    assert!(wing_block.viscous && !wing_block.two_d);
+    let mut wing_scratch = Scratch::for_block(&wing_block);
+    c.bench_function("rhs/residual_delta_wing_3d", |b| {
+        b.iter(|| compute_residual(&wing_block, &fc(), &mut wing_scratch.res))
+    });
+
     c.bench_function("adi/implicit_sweeps_5k_nodes", |b| {
         b.iter_batched(
             || {

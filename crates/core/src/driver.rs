@@ -565,7 +565,7 @@ fn run_rank(
                 // Update field nodes.
                 let ow = block.owned_local();
                 let mut update_flops = 0u64;
-                for p in ow.iter().collect::<Vec<_>>() {
+                for p in ow.iter() {
                     if block.iblank[p] != overset_solver::Blank::Field {
                         continue;
                     }

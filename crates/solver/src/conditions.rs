@@ -65,7 +65,13 @@ pub fn pressure(q: &[f64; NVAR]) -> f64 {
 /// Sound speed from a conserved state.
 #[inline]
 pub fn sound_speed(q: &[f64; NVAR]) -> f64 {
-    (GAMMA * pressure(q) / q[0]).max(1e-12).sqrt()
+    sound_speed_with_pressure(q, pressure(q))
+}
+
+/// Sound speed from a conserved state whose pressure `p` is already known.
+#[inline]
+pub fn sound_speed_with_pressure(q: &[f64; NVAR], p: f64) -> f64 {
+    (GAMMA * p / q[0]).max(1e-12).sqrt()
 }
 
 /// Primitive variables `[ρ, u, v, w, p]` from a conserved state.
@@ -115,7 +121,14 @@ pub fn enforce_positivity(q: &mut [f64; NVAR]) -> bool {
 /// temperature `T = γ p / ρ` normalized so `T∞ = 1` (a∞-based scaling).
 #[inline]
 pub fn sutherland_viscosity(q: &[f64; NVAR]) -> f64 {
-    let t = (GAMMA * pressure(q) / q[0]).max(1e-12);
+    sutherland_at_temperature(GAMMA * pressure(q) / q[0])
+}
+
+/// Sutherland's law at the nondimensional temperature `t = γ p / ρ`
+/// (floored at 1e-12).
+#[inline]
+pub fn sutherland_at_temperature(t: f64) -> f64 {
+    let t = t.max(1e-12);
     const S: f64 = 110.4 / 288.15; // Sutherland constant over T∞ (sea level)
     t.powf(1.5) * (1.0 + S) / (t + S)
 }

@@ -9,13 +9,26 @@
 //! The residual is `dq/dt` (already divided by the cell Jacobian), so
 //! `res = 0` exactly at uniform freestream on any untangled grid — verified
 //! by the freestream-preservation tests.
+//!
+//! Assembly runs in line passes. For each active direction, every line of
+//! the sweep box is walked in chunks of at most [`CHUNK`] nodes: the
+//! per-node pressure, JST pressure sensor ν, spectral radius σ̂ and
+//! contravariant flux F̂ are computed once into stack caches, then
+//! differenced at each field node. One more pass along η-lines adds the
+//! thin-layer viscous terms from cached velocity, viscosity, kinetic energy
+//! and a², and a last pass divides by J. Every node still accumulates dir-0
+//! flux, dir-0 dissipation, dir 1, …, viscous, `× 1/J` in that order, from
+//! the same expressions as a node-by-node assembly, so the output is bit
+//! for bit that of evaluating each stencil on its own.
 
 use crate::block::{Blank, Block};
 use crate::conditions::{
-    pressure, sound_speed, sutherland_viscosity, FlowConditions, GAMMA, PRANDTL, PRANDTL_T,
+    pressure, sound_speed_with_pressure, sutherland_at_temperature, FlowConditions, GAMMA, PRANDTL,
+    PRANDTL_T,
 };
 use overset_grid::field::{StateField, NVAR};
-use overset_grid::index::Ijk;
+use overset_grid::index::{Dims, Ijk, IndexBox};
+use overset_grid::metrics::Metric;
 
 /// JST dissipation constants (2nd-difference sensor gain, 4th-difference
 /// background gain).
@@ -28,26 +41,26 @@ pub const FLOPS_PER_NODE_PER_DIR: u64 = 110;
 /// Estimated extra flops per owned node for thin-layer viscous terms.
 pub const FLOPS_VISCOUS_PER_NODE: u64 = 90;
 
+/// Nodes of one line assembled from one fill of the line caches; longer
+/// lines are processed in chunks whose caches overlap by the stencil.
+pub const CHUNK: usize = 64;
+/// Cache slots per chunk: the chunk plus two stencil nodes on each side.
+const SLOTS: usize = CHUNK + 4;
+
+/// Ŝ = J ∇ξ_dir at a node.
 #[inline]
-fn offset(p: Ijk, dir: usize, d: isize) -> Ijk {
-    let mut q = p;
-    q.set(dir, (q.get(dir) as isize + d) as usize);
-    q
+fn scaled_normal(m: &Metric, dir: usize) -> [f64; 3] {
+    let g = m.grad(dir);
+    [g[0] * m.jac, g[1] * m.jac, g[2] * m.jac]
 }
 
-/// Contravariant flux vector F̂ through the `dir` computational face at a
-/// node, including ALE grid-velocity terms.
+/// Contravariant flux F̂ through a face with normal `s` = Ŝ at a node of
+/// state `q`, grid velocity `vg` and pressure `p_stat`, including ALE
+/// grid-velocity terms.
 #[inline]
-fn hat_flux(block: &Block, p: Ijk, dir: usize) -> [f64; NVAR] {
-    let q = block.q.node(p);
-    let m = block.metrics[p];
-    let g = m.grad(dir);
-    let jac = m.jac;
-    let s = [g[0] * jac, g[1] * jac, g[2] * jac]; // Ŝ = J ∇ξ
+fn node_flux(q: &[f64; NVAR], s: [f64; 3], vg: [f64; 3], p_stat: f64) -> [f64; NVAR] {
     let inv_rho = 1.0 / q[0];
     let u = [q[1] * inv_rho, q[2] * inv_rho, q[3] * inv_rho];
-    let vg = block.grid_vel[p];
-    let p_stat = pressure(q);
     let u_s = s[0] * u[0] + s[1] * u[1] + s[2] * u[2];
     let ug_s = s[0] * vg[0] + s[1] * vg[1] + s[2] * vg[2];
     let u_rel = u_s - ug_s;
@@ -60,34 +73,28 @@ fn hat_flux(block: &Block, p: Ijk, dir: usize) -> [f64; NVAR] {
     ]
 }
 
-/// Scaled spectral radius σ̂ = |Û_rel| + c|Ŝ| at a node for direction `dir`.
+/// Scaled spectral radius σ̂ = |Û_rel| + c|Ŝ| at a node, from the same
+/// inputs as [`node_flux`].
 #[inline]
-pub fn spectral_radius(block: &Block, p: Ijk, dir: usize) -> f64 {
-    let q = block.q.node(p);
-    let m = block.metrics[p];
-    let g = m.grad(dir);
-    let jac = m.jac;
-    let s = [g[0] * jac, g[1] * jac, g[2] * jac];
+fn node_spectral_radius(q: &[f64; NVAR], s: [f64; 3], vg: [f64; 3], p_stat: f64) -> f64 {
     let s_norm = (s[0] * s[0] + s[1] * s[1] + s[2] * s[2]).sqrt();
     let inv_rho = 1.0 / q[0];
-    let vg = block.grid_vel[p];
     let u_rel = s[0] * (q[1] * inv_rho - vg[0])
         + s[1] * (q[2] * inv_rho - vg[1])
         + s[2] * (q[3] * inv_rho - vg[2]);
-    u_rel.abs() + sound_speed(q) * s_norm
+    u_rel.abs() + sound_speed_with_pressure(q, p_stat) * s_norm
 }
 
-/// Is the node usable in a difference stencil (inside local storage)?
-#[inline]
-fn in_local(block: &Block, p: Ijk, dir: usize, d: isize) -> bool {
-    let c = p.get(dir) as isize + d;
-    c >= 0 && (c as usize) < block.local_dims.get(dir)
+/// Scaled spectral radius σ̂ = |Û_rel| + c|Ŝ| at a node for direction `dir`.
+pub fn spectral_radius(block: &Block, p: Ijk, dir: usize) -> f64 {
+    let q = block.q.node(p);
+    node_spectral_radius(q, scaled_normal(&block.metrics[p], dir), block.grid_vel[p], pressure(q))
 }
 
 /// Range of local indices along `dir` that have valid ±1 stencil data:
 /// owned nodes, shrunk by one at faces with no neighbor (physical
 /// boundaries are handled by the BC module).
-fn sweep_box(block: &Block) -> overset_grid::index::IndexBox {
+fn sweep_box(block: &Block) -> IndexBox {
     let mut b = block.owned_local();
     for dir in block.active_dirs().iter().copied() {
         let f_min = 2 * dir;
@@ -105,170 +112,376 @@ fn sweep_box(block: &Block) -> overset_grid::index::IndexBox {
     // node 0 and is never updated directly.
     if block.self_wrap_i || block.neighbor[1].is_some() {
         let gd = block.grid_dims;
-        if block.owned.hi.i == gd.ni && is_periodic(block) {
+        if block.owned.hi.i == gd.ni && block.periodic_i_grid {
             b.hi.set(0, b.hi.get(0) - 1);
         }
     }
     b
 }
 
+/// One chunk of one grid line: line nodes `t0..t1`, where line node `t`
+/// sits at linear offset `base + t * stride` and the line has `n` nodes of
+/// local storage.
+#[derive(Clone, Copy)]
+struct Span {
+    base: usize,
+    stride: usize,
+    n: usize,
+    t0: usize,
+    t1: usize,
+}
+
+impl Span {
+    /// Linear offset of line node `t`.
+    #[inline]
+    fn at(&self, t: usize) -> usize {
+        self.base + t * self.stride
+    }
+
+    /// Cache slot of line node `t` (slot 0 is node `t0 - 2`).
+    #[inline]
+    fn slot(&self, t: usize) -> usize {
+        t + 2 - self.t0
+    }
+
+    /// Line node `t + d`.
+    #[inline]
+    fn step(&self, t: usize, d: isize) -> usize {
+        (t as isize + d) as usize
+    }
+
+    /// Is line node `t + d` inside local storage?
+    #[inline]
+    fn in_local(&self, t: usize, d: isize) -> bool {
+        let c = t as isize + d;
+        c >= 0 && (c as usize) < self.n
+    }
+}
+
+/// Call `f` on every chunk of every line of `sweep` along `dir`. Lines are
+/// visited i-fastest (j-fastest for i-lines), so consecutive strided lines
+/// share cache lines.
+fn for_each_span(dims: Dims, sweep: IndexBox, dir: usize, mut f: impl FnMut(Span)) {
+    let strides = [1, dims.ni, dims.ni * dims.nj];
+    let (inner, outer) = match dir {
+        0 => (1, 2),
+        1 => (0, 2),
+        _ => (0, 1),
+    };
+    let (lo, hi) = (sweep.lo.get(dir), sweep.hi.get(dir));
+    // The stencil reaches two nodes past the sweep box; the halo holds them.
+    debug_assert!(lo >= hi || (lo >= 2 && hi + 2 <= dims.get(dir)));
+    for o in sweep.lo.get(outer)..sweep.hi.get(outer) {
+        let mut t0 = lo;
+        while t0 < hi {
+            let t1 = (t0 + CHUNK).min(hi);
+            for i in sweep.lo.get(inner)..sweep.hi.get(inner) {
+                let base = o * strides[outer] + i * strides[inner];
+                f(Span { base, stride: strides[dir], n: dims.get(dir), t0, t1 });
+            }
+            t0 = t1;
+        }
+    }
+}
+
+/// The NVAR-wide node `at` of an interleaved state slice.
 #[inline]
-fn is_periodic(block: &Block) -> bool {
-    block.periodic_i_grid
+fn state(q: &[f64], at: usize) -> &[f64; NVAR] {
+    q[at * NVAR..at * NVAR + NVAR].try_into().expect("slice is NVAR wide")
+}
+
+#[inline]
+fn state_mut(q: &mut [f64], at: usize) -> &mut [f64; NVAR] {
+    (&mut q[at * NVAR..at * NVAR + NVAR]).try_into().expect("slice is NVAR wide")
+}
+
+/// Line caches for the flux and dissipation of one chunk. Node slot `s`
+/// holds line node `t0 - 2 + s`; face slot `s` holds the face between node
+/// slots `s` and `s + 1`.
+struct FluxLine {
+    p: [f64; SLOTS],
+    nu: [f64; SLOTS],
+    sigma_hat: [f64; SLOTS],
+    flux: [[f64; NVAR]; SLOTS],
+    /// Per face: the 2nd- and 4th-difference gains and the face spectral
+    /// radius. `max` and `+` commute, so both nodes of a face see the same
+    /// values. The dissipation vectors themselves are not shared: the
+    /// 4th-difference test and association differ between the two sides.
+    eps2: [f64; SLOTS],
+    eps4: [f64; SLOTS],
+    sigma: [f64; SLOTS],
+}
+
+impl FluxLine {
+    fn new() -> Self {
+        FluxLine {
+            p: [0.0; SLOTS],
+            nu: [0.0; SLOTS],
+            sigma_hat: [0.0; SLOTS],
+            flux: [[0.0; NVAR]; SLOTS],
+            eps2: [0.0; SLOTS],
+            eps4: [0.0; SLOTS],
+            sigma: [0.0; SLOTS],
+        }
+    }
+
+    /// Add the central flux difference and JST dissipation along `dir` to
+    /// the residual of every field node of `sp`.
+    fn assemble(&mut self, block: &Block, dir: usize, sp: Span, res: &mut [f64]) {
+        let q = block.q.as_slice();
+        let metrics = block.metrics.as_slice();
+        let grid_vel = block.grid_vel.as_slice();
+        // Pressure on t0-2..=t1+1: ν at the flux nodes reads one node past.
+        for t in sp.t0 - 2..sp.t1 + 2 {
+            self.p[sp.slot(t)] = pressure(state(q, sp.at(t)));
+        }
+        // ν, σ̂ and F̂ on the flux nodes t0-1..=t1.
+        for t in sp.t0 - 1..=sp.t1 {
+            let s = sp.slot(t);
+            self.nu[s] = if sp.in_local(t, 1) && sp.in_local(t, -1) {
+                let (pm, pc, pp) = (self.p[s - 1], self.p[s], self.p[s + 1]);
+                ((pp - 2.0 * pc + pm) / (pp + 2.0 * pc + pm).max(1e-12)).abs()
+            } else {
+                0.0
+            };
+            let at = sp.at(t);
+            let n = scaled_normal(&metrics[at], dir);
+            let qn = state(q, at);
+            self.sigma_hat[s] = node_spectral_radius(qn, n, grid_vel[at], self.p[s]);
+            self.flux[s] = node_flux(qn, n, grid_vel[at], self.p[s]);
+        }
+        // Face gains on the faces between flux nodes.
+        for s in sp.slot(sp.t0 - 1)..sp.slot(sp.t1) {
+            let eps2 = K2 * self.nu[s].max(self.nu[s + 1]);
+            self.eps2[s] = eps2;
+            self.eps4[s] = (K4 - eps2).max(0.0);
+            self.sigma[s] = 0.5 * (self.sigma_hat[s] + self.sigma_hat[s + 1]);
+        }
+        for t in sp.t0..sp.t1 {
+            if block.iblank.as_slice()[sp.at(t)] != Blank::Field {
+                continue;
+            }
+            let s = sp.slot(t);
+            let r = state_mut(res, sp.at(t));
+            let (fp, fm) = (&self.flux[s + 1], &self.flux[s - 1]);
+            for v in 0..NVAR {
+                r[v] -= 0.5 * (fp[v] - fm[v]);
+            }
+            let d_hi = self.dissipation(block, sp, t, 1);
+            let d_lo = self.dissipation(block, sp, t, -1);
+            for v in 0..NVAR {
+                r[v] += d_hi[v] - d_lo[v];
+            }
+        }
+    }
+
+    /// JST dissipative flux at the face between line node `t` and
+    /// `t + side` (side = ±1), signed so the residual adds
+    /// d(t+½) − d(t−½).
+    fn dissipation(&self, block: &Block, sp: Span, t: usize, side: isize) -> [f64; NVAR] {
+        let (q, iblank) = (block.q.as_slice(), block.iblank.as_slice());
+        let t1 = sp.step(t, side);
+        let face = sp.slot(t.min(t1));
+        let (eps2, eps4, sigma) = (self.eps2[face], self.eps4[face], self.sigma[face]);
+        let (q0, q1) = (state(q, sp.at(t)), state(q, sp.at(t1)));
+        let mut d = [0.0f64; NVAR];
+        // Second difference across the face.
+        for v in 0..NVAR {
+            d[v] = eps2 * (q1[v] - q0[v]);
+        }
+        // Fourth difference needs one more node on each side; degrade to
+        // pure 2nd-difference when the stencil leaves local storage or
+        // crosses blanked nodes.
+        let stencil_ok = sp.in_local(t, -side)
+            && sp.in_local(t1, side)
+            && iblank[sp.at(sp.step(t, -side))] == Blank::Field
+            && iblank[sp.at(sp.step(t1, side))] == Blank::Field
+            && iblank[sp.at(t1)] != Blank::Hole;
+        if stencil_ok {
+            let qm = state(q, sp.at(sp.step(t, -side)));
+            let qp = state(q, sp.at(sp.step(t1, side)));
+            for v in 0..NVAR {
+                let third = (qp[v] - q1[v]) - 2.0 * (q1[v] - q0[v]) + (q0[v] - qm[v]);
+                d[v] -= eps4 * third;
+            }
+        }
+        let sign = if side > 0 { 1.0 } else { -1.0 };
+        for v in d.iter_mut() {
+            *v *= sigma * sign;
+        }
+        d
+    }
+}
+
+/// Coefficients of one η-face, symmetric in its two nodes (every one is a
+/// product or quotient of commuting sums), so both nodes share them.
+#[derive(Clone, Copy, Default)]
+struct ViscousFace {
+    /// Face-averaged Ŝ.
+    s: [f64; 3],
+    /// |Ŝ|² / J at the face.
+    m1: f64,
+    /// 3 J at the face.
+    three_jf: f64,
+    /// μ_l + μ_t.
+    mu: f64,
+    /// coef · μ.
+    coef_mu: f64,
+    /// coef · m1.
+    coef_m1: f64,
+    /// Heat conduction gain (μ_l / Pr + μ_t / Pr_t) / (γ − 1).
+    heat: f64,
+}
+
+/// Line caches for the thin-layer viscous terms of one chunk of an η-line,
+/// in the slot layout of [`FluxLine`].
+struct ViscousLine {
+    u: [[f64; 3]; SLOTS],
+    ke: [f64; SLOTS],
+    a2: [f64; SLOTS],
+    mu_l: [f64; SLOTS],
+    face: [ViscousFace; SLOTS],
+}
+
+impl ViscousLine {
+    /// Thin layer: viscous terms act in the body-normal η direction only.
+    const DIR: usize = 1;
+
+    fn new() -> Self {
+        ViscousLine {
+            u: [[0.0; 3]; SLOTS],
+            ke: [0.0; SLOTS],
+            a2: [0.0; SLOTS],
+            mu_l: [0.0; SLOTS],
+            face: [ViscousFace::default(); SLOTS],
+        }
+    }
+
+    /// Add the thin-layer viscous flux difference to the residual of every
+    /// field node of the η-line chunk `sp`.
+    fn assemble(&mut self, block: &Block, coef: f64, sp: Span, res: &mut [f64]) {
+        let (q, metrics, mu_t) =
+            (block.q.as_slice(), block.metrics.as_slice(), block.mu_t.as_slice());
+        for t in sp.t0 - 1..=sp.t1 {
+            let s = sp.slot(t);
+            let qn = state(q, sp.at(t));
+            let u = [qn[1] / qn[0], qn[2] / qn[0], qn[3] / qn[0]];
+            self.u[s] = u;
+            self.ke[s] = 0.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
+            // a² = γ p / ρ, which is also Sutherland's temperature.
+            self.a2[s] = GAMMA * pressure(qn) / qn[0];
+            self.mu_l[s] = sutherland_at_temperature(self.a2[s]);
+        }
+        for f in sp.t0 - 1..sp.t1 {
+            let (a, b) = (sp.at(f), sp.at(f + 1));
+            let (ma, mb) = (&metrics[a], &metrics[b]);
+            let s = [
+                0.5 * (ma.eta[0] * ma.jac + mb.eta[0] * mb.jac),
+                0.5 * (ma.eta[1] * ma.jac + mb.eta[1] * mb.jac),
+                0.5 * (ma.eta[2] * ma.jac + mb.eta[2] * mb.jac),
+            ];
+            let jf = 0.5 * (ma.jac + mb.jac);
+            let m1 = (s[0] * s[0] + s[1] * s[1] + s[2] * s[2]) / jf;
+            let slot = sp.slot(f);
+            let mu_l = 0.5 * (self.mu_l[slot] + self.mu_l[slot + 1]);
+            let mu_t = 0.5 * (mu_t[a] + mu_t[b]);
+            let mu = mu_l + mu_t;
+            let k_heat = mu_l / PRANDTL + mu_t / PRANDTL_T;
+            self.face[slot] = ViscousFace {
+                s,
+                m1,
+                three_jf: 3.0 * jf,
+                mu,
+                coef_mu: coef * mu,
+                coef_m1: coef * m1,
+                heat: k_heat / (GAMMA - 1.0),
+            };
+        }
+        for t in sp.t0..sp.t1 {
+            if block.iblank.as_slice()[sp.at(t)] != Blank::Field {
+                continue;
+            }
+            let fv_hi = self.flux(sp, t, 1);
+            let fv_lo = self.flux(sp, t, -1);
+            let r = state_mut(res, sp.at(t));
+            for v in 0..NVAR {
+                r[v] += fv_hi[v] - fv_lo[v];
+            }
+        }
+    }
+
+    /// Thin-layer viscous flux at the η-face between line node `t` and
+    /// `t + side` (side = ±1), in the Q̂ equation and signed like
+    /// [`FluxLine::dissipation`]. Not shared between the face's two nodes:
+    /// the velocity jump changes sign, and so may a zero.
+    fn flux(&self, sp: Span, t: usize, side: isize) -> [f64; NVAR] {
+        if !sp.in_local(t, side) {
+            return [0.0; NVAR];
+        }
+        let t1 = sp.step(t, side);
+        let f = &self.face[sp.slot(t.min(t1))];
+        let (a, b) = (sp.slot(t), sp.slot(t1));
+        let (ua, ub) = (self.u[a], self.u[b]);
+        let du = [ub[0] - ua[0], ub[1] - ua[1], ub[2] - ua[2]];
+        let s = f.s;
+        let s_du = s[0] * du[0] + s[1] * du[1] + s[2] * du[2];
+        // Momentum: μ (m1 du + (1/3)(S·du) S / J).
+        let fm = [
+            f.coef_mu * (f.m1 * du[0] + s_du * s[0] / f.three_jf),
+            f.coef_mu * (f.m1 * du[1] + s_du * s[1] / f.three_jf),
+            f.coef_mu * (f.m1 * du[2] + s_du * s[2] / f.three_jf),
+        ];
+        // Energy: shear work + heat conduction on a².
+        let fe =
+            f.coef_m1 * (f.mu * (self.ke[b] - self.ke[a]) + f.heat * (self.a2[b] - self.a2[a]));
+        let sign = if side > 0 { 1.0 } else { -1.0 };
+        [0.0, sign * fm[0], sign * fm[1], sign * fm[2], sign * fe]
+    }
 }
 
 /// Assemble the residual into `res` over the block's computable nodes.
 /// Returns estimated flops performed.
 pub fn compute_residual(block: &Block, fc: &FlowConditions, res: &mut StateField) -> u64 {
     assert_eq!(res.dims(), block.local_dims);
-    for v in res.as_mut_slice() {
-        *v = 0.0;
-    }
+    let dims = block.local_dims;
     let sweep = sweep_box(block);
-    let mut nodes = 0u64;
+    let res = res.as_mut_slice();
+    res.fill(0.0);
 
-    for p in sweep.iter() {
-        if block.iblank[p] != Blank::Field {
-            continue;
-        }
-        nodes += 1;
-        let jac = block.metrics[p].jac;
-        let inv_j = 1.0 / jac;
-        let mut r = [0.0f64; NVAR];
-
-        for &dir in block.active_dirs() {
-            // Central flux difference.
-            let fp = hat_flux(block, offset(p, dir, 1), dir);
-            let fm = hat_flux(block, offset(p, dir, -1), dir);
-            for v in 0..NVAR {
-                r[v] -= 0.5 * (fp[v] - fm[v]);
-            }
-            // JST scalar dissipation: face-based 2nd/4th differences.
-            let d_hi = face_dissipation(block, p, dir, 1);
-            let d_lo = face_dissipation(block, p, dir, -1);
-            for v in 0..NVAR {
-                r[v] += d_hi[v] - d_lo[v];
-            }
-        }
-
-        if block.viscous && fc.viscous_coefficient() > 0.0 {
-            let fv_hi = viscous_face_flux(block, p, fc, 1);
-            let fv_lo = viscous_face_flux(block, p, fc, -1);
-            for v in 0..NVAR {
-                r[v] += fv_hi[v] - fv_lo[v];
-            }
-        }
-
-        let out = res.node_mut(p);
-        for v in 0..NVAR {
-            out[v] = r[v] * inv_j;
-        }
+    let mut flux = FluxLine::new();
+    for &dir in block.active_dirs() {
+        for_each_span(dims, sweep, dir, |sp| flux.assemble(block, dir, sp, res));
     }
+
+    let viscous = block.viscous && fc.viscous_coefficient() > 0.0;
+    if viscous {
+        let mut visc = ViscousLine::new();
+        let coef = fc.viscous_coefficient();
+        for_each_span(dims, sweep, ViscousLine::DIR, |sp| visc.assemble(block, coef, sp, res));
+    }
+
+    let (iblank, metrics) = (block.iblank.as_slice(), block.metrics.as_slice());
+    let mut nodes = 0u64;
+    for_each_span(dims, sweep, 0, |sp| {
+        for t in sp.t0..sp.t1 {
+            let at = sp.at(t);
+            if iblank[at] != Blank::Field {
+                continue;
+            }
+            nodes += 1;
+            let inv_j = 1.0 / metrics[at].jac;
+            for v in state_mut(res, at) {
+                *v *= inv_j;
+            }
+        }
+    });
 
     let dirs = block.active_dirs().len() as u64;
     let mut flops = nodes * dirs * FLOPS_PER_NODE_PER_DIR;
-    if block.viscous && fc.viscous_coefficient() > 0.0 {
+    if viscous {
         flops += nodes * FLOPS_VISCOUS_PER_NODE;
     }
     flops
-}
-
-/// JST dissipative flux at the face between `p` and `p + side` along `dir`
-/// (side = ±1).
-fn face_dissipation(block: &Block, p: Ijk, dir: usize, side: isize) -> [f64; NVAR] {
-    let p1 = offset(p, dir, side);
-    // Pressure switch ν at both nodes (guarded near storage edges).
-    let nu_at = |n: Ijk| -> f64 {
-        if !in_local(block, n, dir, 1) || !in_local(block, n, dir, -1) {
-            return 0.0;
-        }
-        let pm = pressure(block.q.node(offset(n, dir, -1)));
-        let pc = pressure(block.q.node(n));
-        let pp = pressure(block.q.node(offset(n, dir, 1)));
-        ((pp - 2.0 * pc + pm) / (pp + 2.0 * pc + pm).max(1e-12)).abs()
-    };
-    let eps2 = K2 * nu_at(p).max(nu_at(p1));
-    let eps4 = (K4 - eps2).max(0.0);
-    let sigma = 0.5 * (spectral_radius(block, p, dir) + spectral_radius(block, p1, dir));
-
-    let q0 = block.q.node(p);
-    let q1 = block.q.node(p1);
-    let mut d = [0.0f64; NVAR];
-    // Second difference across the face.
-    for v in 0..NVAR {
-        d[v] = eps2 * (q1[v] - q0[v]);
-    }
-    // Fourth difference needs one more node on each side; degrade to pure
-    // 2nd-difference when the stencil leaves local storage or crosses
-    // blanked nodes.
-    let pm = offset(p, dir, -side);
-    let pp = offset(p1, dir, side);
-    let stencil_ok = in_local(block, p, dir, -side)
-        && in_local(block, p1, dir, side)
-        && block.iblank[pm] == Blank::Field
-        && block.iblank[pp] == Blank::Field
-        && block.iblank[p1] != Blank::Hole;
-    if stencil_ok {
-        let qm = block.q.node(pm);
-        let qp = block.q.node(pp);
-        for v in 0..NVAR {
-            let third = (qp[v] - q1[v]) - 2.0 * (q1[v] - q0[v]) + (q0[v] - qm[v]);
-            d[v] -= eps4 * third;
-        }
-    }
-    // Face flux orientation: the residual adds d(p+1/2) - d(p-1/2).
-    let sign = if side > 0 { 1.0 } else { -1.0 };
-    for v in d.iter_mut() {
-        *v *= sigma * sign;
-    }
-    d
-}
-
-/// Thin-layer viscous flux at the η-face between `p` and `p + side`·η̂
-/// (side = ±1), in the Q̂ equation (to be differenced and divided by J).
-fn viscous_face_flux(block: &Block, p: Ijk, fc: &FlowConditions, side: isize) -> [f64; NVAR] {
-    const DIR: usize = 1; // thin layer acts in the body-normal η direction
-    if !in_local(block, p, DIR, side) {
-        return [0.0; NVAR];
-    }
-    let p1 = offset(p, DIR, side);
-    let (qa, qb) = (block.q.node(p), block.q.node(p1));
-    let (ma, mb) = (block.metrics[p], block.metrics[p1]);
-    // Face-averaged Ŝ and J.
-    let s = [
-        0.5 * (ma.eta[0] * ma.jac + mb.eta[0] * mb.jac),
-        0.5 * (ma.eta[1] * ma.jac + mb.eta[1] * mb.jac),
-        0.5 * (ma.eta[2] * ma.jac + mb.eta[2] * mb.jac),
-    ];
-    let jf = 0.5 * (ma.jac + mb.jac);
-    let m1 = (s[0] * s[0] + s[1] * s[1] + s[2] * s[2]) / jf;
-
-    let ua = [qa[1] / qa[0], qa[2] / qa[0], qa[3] / qa[0]];
-    let ub = [qb[1] / qb[0], qb[2] / qb[0], qb[3] / qb[0]];
-    let du = [ub[0] - ua[0], ub[1] - ua[1], ub[2] - ua[2]];
-    let s_du = s[0] * du[0] + s[1] * du[1] + s[2] * du[2];
-
-    let mu_l = 0.5 * (sutherland_viscosity(qa) + sutherland_viscosity(qb));
-    let mu_t = 0.5 * (block.mu_t[p] + block.mu_t[p1]);
-    let mu = mu_l + mu_t;
-    let coef = fc.viscous_coefficient();
-
-    // Momentum: μ (m1 du + (1/3)(S·du) S / J).
-    let fm = [
-        coef * mu * (m1 * du[0] + s_du * s[0] / (3.0 * jf)),
-        coef * mu * (m1 * du[1] + s_du * s[1] / (3.0 * jf)),
-        coef * mu * (m1 * du[2] + s_du * s[2] / (3.0 * jf)),
-    ];
-    // Energy: shear work + heat conduction on a² = γ p / ρ.
-    let ke_a = 0.5 * (ua[0] * ua[0] + ua[1] * ua[1] + ua[2] * ua[2]);
-    let ke_b = 0.5 * (ub[0] * ub[0] + ub[1] * ub[1] + ub[2] * ub[2]);
-    let a2_a = GAMMA * pressure(qa) / qa[0];
-    let a2_b = GAMMA * pressure(qb) / qb[0];
-    let k_heat = mu_l / PRANDTL + mu_t / PRANDTL_T;
-    let fe = coef * m1 * (mu * (ke_b - ke_a) + k_heat / (GAMMA - 1.0) * (a2_b - a2_a));
-
-    let sign = if side > 0 { 1.0 } else { -1.0 };
-    [0.0, sign * fm[0], sign * fm[1], sign * fm[2], sign * fe]
 }
 
 /// L2 norm of the residual over owned field nodes (diagnostic).
