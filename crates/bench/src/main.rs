@@ -251,12 +251,9 @@ fn exit_usage<T>(r: Result<T, String>) -> T {
     }
 }
 
-fn run_report_cmd(args: &[String]) -> i32 {
-    let cli = exit_usage(parse_cli(args));
-    if cli.trace_stream.is_some() {
-        eprintln!("report does not support --trace-stream (stream a plain experiment run)");
-        return 2;
-    }
+/// The run effort the parsed flags select (`--quick` or full, plus the
+/// toggles every experiment honours); an unknown `--transport` exits 2.
+fn effort_of(cli: &Cli) -> Effort {
     let mut effort = if cli.quick { Effort::quick() } else { Effort::full() };
     effort.max_threads = cli.max_threads;
     effort.use_inverse_map = !cli.no_inverse_map;
@@ -265,6 +262,16 @@ fn run_report_cmd(args: &[String]) -> i32 {
     effort.use_simd = !cli.no_simd;
     effort.proc_groups = exit_usage(parse_transport_flag(&cli.transport));
     effort.inject_alloc = cli.inject_alloc;
+    effort
+}
+
+fn run_report_cmd(args: &[String]) -> i32 {
+    let cli = exit_usage(parse_cli(args));
+    if cli.trace_stream.is_some() {
+        eprintln!("report does not support --trace-stream (stream a plain experiment run)");
+        return 2;
+    }
+    let effort = effort_of(&cli);
     let effort_name = if cli.quick { "quick" } else { "full" };
     // Trace spans are not serialized into the report; tracing here only
     // proves observability neutrality (the golden tests rely on it), so
@@ -288,14 +295,7 @@ fn run_bench_host_cmd(args: &[String]) -> i32 {
         eprintln!("bench-host does not support tracing flags");
         return 2;
     }
-    let mut effort = if cli.quick { Effort::quick() } else { Effort::full() };
-    effort.max_threads = cli.max_threads;
-    effort.use_inverse_map = !cli.no_inverse_map;
-    effort.use_arena = !cli.no_arena;
-    effort.use_incremental_invmap = !cli.no_incremental_invmap;
-    effort.use_simd = !cli.no_simd;
-    effort.proc_groups = exit_usage(parse_transport_flag(&cli.transport));
-    effort.inject_alloc = cli.inject_alloc;
+    let effort = effort_of(&cli);
     let effort_name = if cli.quick { "quick" } else { "full" };
     let repeats = cli.repeats.unwrap_or(5);
     let doc = build_report_host_bench(&cli.which, effort, effort_name, repeats);
@@ -333,14 +333,7 @@ fn main() {
     }
 
     let cli = exit_usage(parse_cli(&args));
-    let mut effort = if cli.quick { Effort::quick() } else { Effort::full() };
-    effort.max_threads = cli.max_threads;
-    effort.use_inverse_map = !cli.no_inverse_map;
-    effort.use_arena = !cli.no_arena;
-    effort.use_incremental_invmap = !cli.no_incremental_invmap;
-    effort.use_simd = !cli.no_simd;
-    effort.proc_groups = exit_usage(parse_transport_flag(&cli.transport));
-    effort.inject_alloc = cli.inject_alloc;
+    let effort = effort_of(&cli);
     let which = cli.which.clone();
     // Validate trace flags before the (long) experiment run, not after.
     let mut trace_cfg = exit_usage(parse_trace_config(&cli.trace_filter, cli.trace_sample));

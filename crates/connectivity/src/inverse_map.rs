@@ -35,6 +35,7 @@
 //! acceleration on or off. The `use_inverse_map` ablation tests assert this.
 
 use crate::protocol::owned_bbox;
+use overset_comm::metrics::names;
 use overset_grid::curvilinear::Solid;
 use overset_grid::index::Ijk;
 use overset_grid::{Aabb, RigidTransform};
@@ -171,6 +172,16 @@ fn cell_corners(block: &Block, cell: Ijk) -> impl Iterator<Item = Ijk> + '_ {
     })
 }
 
+/// What one [`InverseMap::refresh`] did to bring a grid's map up to date.
+pub struct MapUpkeep {
+    /// Search flops it cost; charge them to virtual time.
+    pub flops: u64,
+    /// The metrics counter it bumps: a build or an advance.
+    pub counter: &'static str,
+    /// The grid's first map, when it had none; the caller keeps it.
+    pub first: Option<InverseMap>,
+}
+
 impl InverseMap {
     /// Build the map for a block's current geometry. Deterministic: the
     /// same block produces bit-identical seeds and occupancy.
@@ -227,6 +238,38 @@ impl InverseMap {
         self.inv_pose = pose.inverse();
         self.pose = pose;
         true
+    }
+
+    /// Bring a grid's map (`None`: it has none yet) up to date with its
+    /// block before a connectivity step, consuming `pending`, the motion
+    /// since the map was current. With no pending motion the map is left
+    /// alone (`None`). Otherwise [`InverseMap::advance`] composes it into
+    /// the pose when `incremental` is set and the pose allows; failing
+    /// that, the map is rebuilt in place, or built and handed back in
+    /// [`MapUpkeep::first`].
+    pub fn refresh(
+        map: Option<&mut InverseMap>,
+        pending: &mut Option<RigidTransform>,
+        block: &Block,
+        incremental: bool,
+    ) -> Option<MapUpkeep> {
+        let built = |m: &InverseMap| (m.build_flops(), names::CONN_INVMAP_BUILDS);
+        let ((flops, counter), first) = match (map, pending.take()) {
+            (Some(_), None) => return None,
+            (Some(m), Some(t)) => {
+                if incremental && m.advance(&t) {
+                    ((FLOPS_PER_INCR_UPDATE, names::CONN_INVMAP_INCR), None)
+                } else {
+                    *m = InverseMap::build(block);
+                    (built(m), None)
+                }
+            }
+            (None, _) => {
+                let m = InverseMap::build(block);
+                (built(&m), Some(m))
+            }
+        };
+        Some(MapUpkeep { flops, counter, first })
     }
 
     /// Is the map posed at its build-time geometry (no accumulated motion)?

@@ -51,7 +51,7 @@ pub use holes::{cut_holes_and_find_fringe_arena, Igbp};
 pub use interp::{interpolate, weights};
 pub use inverse_map::{
     classify_solids_into, occupancy_admits, occupancy_admits_posed, BinClass, InverseMap,
-    FLOPS_PER_INCR_UPDATE, OCC_ALL, OCC_WORDS,
+    MapUpkeep, FLOPS_PER_INCR_UPDATE, OCC_ALL, OCC_WORDS,
 };
 pub use protocol::{connect_distributed_arena, ConnStats, DonorCache, Topology};
 pub use serial::{connect_serial_arena, SerialCache, SerialConnStats};

@@ -4,8 +4,9 @@
 //! everything the paper's tables and figures are computed from.
 
 use crate::comm_impl::MpSolverComm;
+use crate::motion_step::{add_wall_loads, move_grid, move_solids, FLOPS_PER_BODY_STEP};
 use crate::redistribute::redistribute_state;
-use crate::setup::{build_block, build_topology};
+use crate::setup::{build_block, build_topology, solids_of};
 use overset_balance::{
     dynamic_rebalance, fit_np_to_dims_min, static_balance, Partition, ServiceWindow,
 };
@@ -18,17 +19,13 @@ use overset_comm::{
 };
 use overset_connectivity::{
     connect_distributed_arena, connect_serial_arena, cut_holes_and_find_fringe_arena, ConnArena,
-    DonorCache, InverseMap, SerialCache, FLOPS_PER_INCR_UPDATE,
+    DonorCache, InverseMap, SerialCache,
 };
-use overset_grid::curvilinear::{CurvilinearGrid, Solid};
+use overset_grid::curvilinear::CurvilinearGrid;
 use overset_grid::transform::RigidTransform;
 use overset_grid::Dims;
 use overset_motion::{BodyMotion, Loads};
-use overset_solver::adi::implicit_sweeps;
-use overset_solver::bc::apply_bcs;
-use overset_solver::rhs::compute_residual;
-use overset_solver::turbulence::compute_mu_t;
-use overset_solver::{FlowConditions, Scratch, SerialComm, SolverComm};
+use overset_solver::{select_isa, step_block, Block, FlowConditions, Isa, Scratch, SolverComm};
 
 /// Load-balance configuration: the user-specified factor `f_o` and how often
 /// the dynamic scheme checks the measured service loads (Algorithm 2's
@@ -380,8 +377,9 @@ pub fn run_case(
     if let Some(n) = cfg.max_threads {
         builder = builder.max_threads(n);
     }
+    let isa = select_isa(cfg.use_simd);
     let outputs =
-        builder.try_run(|comm| run_rank(cfg, &sizes, &dims, base_partition.clone(), comm))?;
+        builder.try_run(|comm| run_rank(cfg, &sizes, &dims, base_partition.clone(), isa, comm))?;
     Ok(assemble(cfg, outputs))
 }
 
@@ -443,7 +441,7 @@ fn assemble(cfg: &CaseConfig, outputs: Vec<RankOutput<RankReturn>>) -> RunResult
 /// squares and node count, in block then node order — plus the node states
 /// themselves (grid, global index, conserved vector) when `collect` is set.
 fn gather_state<'a>(
-    blocks: impl IntoIterator<Item = &'a overset_solver::Block>,
+    blocks: impl IntoIterator<Item = &'a Block>,
     collect: bool,
 ) -> (f64, usize, Vec<NodeState>) {
     let mut sum_sq = 0.0f64;
@@ -477,12 +475,27 @@ fn host_phase_max<'a>(ranks: impl Iterator<Item = &'a [f64; NUM_PHASES]>) -> [f6
     out
 }
 
+/// Solver scratch for `block`, its sweeps running on `isa`.
+fn scratch_for(block: &Block, isa: Isa) -> Scratch {
+    let mut scratch = Scratch::for_block(block);
+    scratch.sweep.isa = isa;
+    scratch
+}
+
+/// Cold connectivity scratch, its kernels running on `isa`.
+fn arena_for(isa: Isa) -> ConnArena {
+    let mut arena = ConnArena::new();
+    arena.isa = isa;
+    arena
+}
+
 /// One rank's SPMD body.
 fn run_rank(
     cfg: &CaseConfig,
     sizes: &[usize],
     dims: &[Dims],
     mut partition: Partition,
+    isa: Isa,
     comm: &mut Comm,
 ) -> RankReturn {
     let me = comm.rank();
@@ -497,36 +510,27 @@ fn run_rank(
     // remain bitwise identical on every rank.
     let mut motions: Vec<BodyMotion> = cfg.motions.clone();
     let mut cumulative: Vec<RigidTransform> = vec![RigidTransform::IDENTITY; ngrids];
-    let mut solids: Vec<(usize, Solid)> = cfg
-        .grids
-        .iter()
-        .enumerate()
-        .flat_map(|(g, grid)| grid.solids.iter().map(move |s| (g, *s)))
-        .collect();
+    let mut solids = solids_of(&cfg.grids);
 
     // Inputs were validated by `run_case` before the threads spawned: a
     // failure here is an internal invariant violation, not bad input.
     let (mut block, mut wall) = build_block(me, &partition, &cfg.grids, &cumulative, &fc)
         .unwrap_or_else(|e| panic!("rank {me}: {e}"));
-    let mut scratch = Scratch::for_block(&block);
-    scratch.sweep.isa = overset_solver::select_isa(cfg.use_simd);
+    let mut scratch = scratch_for(&block, isa);
     let mut topo =
         build_topology(&partition, &cfg.search_order).unwrap_or_else(|e| panic!("rank {me}: {e}"));
     let mut cache = DonorCache::new();
     // Inverse-map lifecycle: build lazily in the connectivity phase, reuse
-    // across steps, and mark dirty whenever this rank's grid moves or the
-    // block is rebuilt by a repartition.
+    // across steps, and drop it when a repartition rebuilds the block.
     let mut inv: Option<InverseMap> = None;
-    let mut inv_dirty = true;
     // Rigid motion applied to this rank's grid since the inverse map was
-    // last brought up to date — the candidate for an incremental `advance`.
+    // last brought up to date (see `InverseMap::refresh`).
     let mut pending_motion: Option<RigidTransform> = None;
     // Step-scoped connectivity scratch. With `use_arena` the buffers keep
     // their capacity across steps; the ablation replaces the arena each
     // step (same code path, cold buffers), so only allocation counts
     // change — never results or virtual times.
-    let mut arena = ConnArena::new();
-    arena.isa = overset_solver::select_isa(cfg.use_simd);
+    let mut arena = arena_for(isa);
     // Recycled halo-exchange buffers, same lifecycle as the arena.
     let mut halo_pool: VecPool<f64> = VecPool::new();
 
@@ -547,40 +551,8 @@ fn run_rank(
         {
             let mut ph = comm.phase(Phase::Flow);
             let t0 = ph.now();
-            {
-                let mut mp = MpSolverComm { comm: &mut ph, halo_pool: &mut halo_pool };
-                mp.exchange_halo(&mut block);
-                if block.turbulent && block.viscous {
-                    if let Some(w) = &wall {
-                        let flops = compute_mu_t(&mut block, w);
-                        mp.comm.compute(flops as f64, WorkClass::Flow);
-                    }
-                }
-                let flops = compute_residual(&block, &fc, &mut scratch.res);
-                mp.comm.compute(flops as f64, WorkClass::Flow);
-                for v in scratch.res.as_mut_slice() {
-                    *v *= fc.dt;
-                }
-                implicit_sweeps(&block, &fc, &mut scratch.res, &mut mp, &mut scratch.sweep);
-                // Update field nodes.
-                let ow = block.owned_local();
-                let mut update_flops = 0u64;
-                for p in ow.iter() {
-                    if block.iblank[p] != overset_solver::Blank::Field {
-                        continue;
-                    }
-                    update_flops += 5;
-                    let dq = *scratch.res.node(p);
-                    let q = block.q.node_mut(p);
-                    for v in 0..5 {
-                        q[v] += dq[v];
-                    }
-                    overset_solver::conditions::enforce_positivity(q);
-                }
-                mp.comm.compute(update_flops as f64, WorkClass::Flow);
-                let bc_flops = apply_bcs(&mut block, &fc);
-                mp.comm.compute(bc_flops as f64, WorkClass::Flow);
-            }
+            let mut mp = MpSolverComm { comm: &mut ph, halo_pool: &mut halo_pool };
+            step_block(&mut block, &fc, wall.as_ref(), &mut mp, &mut scratch);
             ph.barrier();
             phase_elapsed[Phase::Flow as usize] += ph.now() - t0;
         }
@@ -597,23 +569,8 @@ fn run_rank(
                 let aero = if body.needs_aero() {
                     let mut local = Loads::ZERO;
                     if body.grids.contains(&block.grid_id) {
-                        let refp = body.moment_reference();
-                        let mut flops = 0u64;
-                        for face in 0..6 {
-                            if let Some((nu, nv, coords, press)) =
-                                overset_solver::bc::wall_surface(&block, face)
-                            {
-                                // Gauge pressure: open per-grid patches must not
-                                // feel the uniform freestream.
-                                let p_inf = overset_solver::conditions::pressure(&fc.freestream());
-                                let gauge: Vec<f64> = press.iter().map(|p| p - p_inf).collect();
-                                let l = overset_motion::integrate_surface_loads(
-                                    nu, nv, &coords, &gauge, refp, 1.0,
-                                );
-                                local = local.add(&l);
-                                flops += (nu * nv) as u64 * 30;
-                            }
-                        }
+                        let flops =
+                            add_wall_loads(&block, &fc, body.moment_reference(), &mut local);
                         ph.compute(flops as f64, WorkClass::Other);
                     }
                     let flat = [
@@ -638,45 +595,21 @@ fn run_rank(
                 let t = body.motion.step(fc.dt, &aero);
                 for &g in &body.grids {
                     cumulative[g] = cumulative[g].then(&t);
-                    for (sg, s) in solids.iter_mut() {
-                        if *sg == g {
-                            *s = s.transformed(&t);
-                        }
-                    }
+                    move_solids(&mut solids, g, &t);
                     last_step_transform[g] = Some(t);
-                }
-                if body.grids.contains(&block.grid_id) {
-                    block.apply_motion(&t, fc.dt);
-                    // Identity / below-epsilon motion must not mark the grid
-                    // "moved": a pointless full inverse-map rebuild would
-                    // follow. `apply_motion` still ran above — it refreshes
-                    // the (zero) grid velocity — only the dirty-marking is
-                    // skipped. Scale comes from the map's lattice box; with
-                    // no map yet, only an exact identity is skippable.
-                    let negligible = match &inv {
-                        Some(m) => t.is_negligible_for(&m.bounds()),
-                        None => t.is_identity(),
-                    };
-                    if !negligible {
-                        inv_dirty = true;
-                        pending_motion = Some(match &pending_motion {
-                            Some(prev) => prev.then(&t),
-                            None => t,
-                        });
+                    if g == block.grid_id {
+                        let bc_flops = move_grid(
+                            &mut block,
+                            wall.as_mut(),
+                            &t,
+                            &fc,
+                            inv.as_ref(),
+                            &mut pending_motion,
+                        );
+                        ph.compute(bc_flops as f64, WorkClass::Other);
                     }
-                    if let Some(w) = &mut wall {
-                        for p in &mut w.wall_xyz {
-                            *p = t.apply(*p);
-                        }
-                    }
-                    // Re-apply wall BCs with the *new* grid velocity: the wall
-                    // state must move with the wall, otherwise the stale no-slip
-                    // velocity acts as an impulsive slip over the tiny wall
-                    // cells.
-                    let bc_flops = apply_bcs(&mut block, &fc);
-                    ph.compute(bc_flops as f64, WorkClass::Other);
                 }
-                ph.compute(500.0, WorkClass::Other);
+                ph.compute(FLOPS_PER_BODY_STEP, WorkClass::Other);
             }
             ph.barrier();
             phase_elapsed[Phase::Motion as usize] += ph.now() - t0;
@@ -688,8 +621,7 @@ fn run_rank(
             let t0 = ph.now();
             if !cfg.use_arena {
                 // Ablation: cold buffers every step, identical code path.
-                arena = ConnArena::new();
-                arena.isa = overset_solver::select_isa(cfg.use_simd);
+                arena = arena_for(isa);
                 halo_pool = VecPool::new();
             }
             {
@@ -697,28 +629,17 @@ fn run_rank(
                 mp.exchange_halo(&mut block);
             }
             if cfg.use_inverse_map {
-                if inv_dirty {
-                    // Prefer the incremental path: compose the step's rigid
-                    // motion into the existing map's pose instead of
-                    // rebuilding the lattice. `advance` refuses (and leaves
-                    // the map untouched) when the accumulated pose would
-                    // inflate the world routing box past its threshold.
-                    let advanced = cfg.use_incremental_invmap
-                        && match (inv.as_mut(), pending_motion.as_ref()) {
-                            (Some(m), Some(t)) => m.advance(t),
-                            _ => false,
-                        };
-                    if advanced {
-                        ph.compute(FLOPS_PER_INCR_UPDATE as f64, WorkClass::Search);
-                        ph.metrics_mut().inc(names::CONN_INVMAP_INCR);
-                    } else {
-                        let m = InverseMap::build(&block);
-                        ph.compute(m.build_flops() as f64, WorkClass::Search);
-                        ph.metrics_mut().inc(names::CONN_INVMAP_BUILDS);
+                if let Some(up) = InverseMap::refresh(
+                    inv.as_mut(),
+                    &mut pending_motion,
+                    &block,
+                    cfg.use_incremental_invmap,
+                ) {
+                    ph.compute(up.flops as f64, WorkClass::Search);
+                    ph.metrics_mut().inc(up.counter);
+                    if let Some(m) = up.first {
                         inv = Some(m);
                     }
-                    inv_dirty = false;
-                    pending_motion = None;
                 }
             } else {
                 inv = None;
@@ -781,8 +702,7 @@ fn run_rank(
                 redistribute_state(&block, &mut new_block, &partition, &new_partition, &mut ph);
                 block = new_block;
                 wall = new_wall;
-                scratch = Scratch::for_block(&block);
-                scratch.sweep.isa = overset_solver::select_isa(cfg.use_simd);
+                scratch = scratch_for(&block, isa);
                 partition = new_partition;
                 topo = build_topology(&partition, &cfg.search_order)
                     .unwrap_or_else(|e| panic!("rank {me}: {e}"));
@@ -805,7 +725,6 @@ fn run_rank(
                 // map is stale until the next connectivity phase, and any
                 // pending rigid motion refers to the old map's lattice.
                 inv = None;
-                inv_dirty = true;
                 pending_motion = None;
                 // Restore blanking on the new block immediately: the next
                 // flow step must not treat redistributed hole values as
@@ -872,16 +791,12 @@ pub fn run_case_serial(
     // Same up-front hierarchy validation as the parallel path.
     build_topology(&single, &cfg.search_order)?;
 
+    let isa = select_isa(cfg.use_simd);
     let outputs = Universe::builder().machine(machine).trace(cfg.trace.clone()).run(|comm| {
         let fc = cfg.fc;
         let mut motions = cfg.motions.clone();
-        let mut solids: Vec<(usize, Solid)> = cfg
-            .grids
-            .iter()
-            .enumerate()
-            .flat_map(|(g, grid)| grid.solids.iter().map(move |s| (g, *s)))
-            .collect();
-        let mut blocks: Vec<overset_solver::Block> = Vec::with_capacity(ngrids);
+        let mut solids = solids_of(&cfg.grids);
+        let mut blocks: Vec<Block> = Vec::with_capacity(ngrids);
         let mut walls = Vec::with_capacity(ngrids);
         let mut scratches = Vec::with_capacity(ngrids);
         let cum = vec![RigidTransform::IDENTITY; ngrids];
@@ -890,24 +805,23 @@ pub fn run_case_serial(
             // rank mapping; serial holds all of them).
             let (b, w) = build_block(single.start[g], &single, &cfg.grids, &cum, &fc)
                 .unwrap_or_else(|e| panic!("{e}"));
-            let mut sc = Scratch::for_block(&b);
-            sc.sweep.isa = overset_solver::select_isa(cfg.use_simd);
-            scratches.push(sc);
+            scratches.push(scratch_for(&b, isa));
             blocks.push(b);
             walls.push(w);
         }
         let ws: f64 = blocks.iter().map(|b| b.working_set_bytes()).sum();
         comm.set_working_set(ws);
         let mut cache = SerialCache::new();
-        // Per-grid inverse maps, rebuilt only for grids whose pose changed.
-        let mut maps: Vec<InverseMap> = Vec::new();
-        let mut moved: Vec<bool> = vec![true; ngrids];
-        // Rigid motion accumulated per grid since its map was last brought
-        // up to date (the incremental `advance` candidate).
-        let mut pending_t: Vec<Option<RigidTransform>> = vec![None; ngrids];
+        // Per-grid inverse maps, in grid order: built on the first
+        // connectivity step, then refreshed only for grids that moved.
+        let mut maps: Vec<InverseMap> = Vec::with_capacity(ngrids);
+        // Rigid motion per grid since its map was last brought up to date.
+        let mut pending: Vec<Option<RigidTransform>> = vec![None; ngrids];
         // Connectivity scratch, persistent across steps under `use_arena`.
-        let mut arena = ConnArena::new();
-        arena.isa = overset_solver::select_isa(cfg.use_simd);
+        let mut arena = arena_for(isa);
+        // Whole-grid blocks have no neighbours, so no halo buffer is ever
+        // taken from this pool.
+        let mut halo_pool: VecPool<f64> = VecPool::new();
         let mut phase_elapsed = [0.0f64; NUM_PHASES];
         let mut igbps_last = 0usize;
         let mut orphans_last = 0usize;
@@ -916,15 +830,9 @@ pub fn run_case_serial(
             {
                 let mut ph = comm.phase(Phase::Flow);
                 let t0 = ph.now();
-                for g in 0..ngrids {
-                    let rep = overset_solver::step_block(
-                        &mut blocks[g],
-                        &fc,
-                        walls[g].as_ref(),
-                        &mut SerialComm,
-                        &mut scratches[g],
-                    );
-                    ph.compute(rep.flops as f64, WorkClass::Flow);
+                let mut mp = MpSolverComm { comm: &mut ph, halo_pool: &mut halo_pool };
+                for ((block, scratch), wall) in blocks.iter_mut().zip(&mut scratches).zip(&walls) {
+                    step_block(block, &fc, wall.as_ref(), &mut mp, scratch);
                 }
                 phase_elapsed[Phase::Flow as usize] += ph.now() - t0;
             }
@@ -934,23 +842,15 @@ pub fn run_case_serial(
                 let t0 = ph.now();
                 for body in motions.iter_mut() {
                     let aero = if body.needs_aero() {
-                        let refp = body.moment_reference();
-                        let p_inf = overset_solver::conditions::pressure(&fc.freestream());
                         let mut total = Loads::ZERO;
                         let mut flops = 0u64;
                         for &g in &body.grids {
-                            for face in 0..6 {
-                                if let Some((nu, nv, coords, press)) =
-                                    overset_solver::bc::wall_surface(&blocks[g], face)
-                                {
-                                    let gauge: Vec<f64> = press.iter().map(|p| p - p_inf).collect();
-                                    let l = overset_motion::integrate_surface_loads(
-                                        nu, nv, &coords, &gauge, refp, 1.0,
-                                    );
-                                    total = total.add(&l);
-                                    flops += (nu * nv) as u64 * 30;
-                                }
-                            }
+                            flops += add_wall_loads(
+                                &blocks[g],
+                                &fc,
+                                body.moment_reference(),
+                                &mut total,
+                            );
                         }
                         ph.compute(flops as f64, WorkClass::Other);
                         total
@@ -959,35 +859,18 @@ pub fn run_case_serial(
                     };
                     let t = body.motion.step(fc.dt, &aero);
                     for &g in &body.grids {
-                        for (sg, s) in solids.iter_mut() {
-                            if *sg == g {
-                                *s = s.transformed(&t);
-                            }
-                        }
-                        blocks[g].apply_motion(&t, fc.dt);
-                        // Identity / below-epsilon motion: don't mark the
-                        // grid moved (see the parallel driver's rationale).
-                        let negligible = if maps.len() == ngrids {
-                            t.is_negligible_for(&maps[g].bounds())
-                        } else {
-                            t.is_identity()
-                        };
-                        if !negligible {
-                            moved[g] = true;
-                            pending_t[g] = Some(match &pending_t[g] {
-                                Some(prev) => prev.then(&t),
-                                None => t,
-                            });
-                        }
-                        if let Some(w) = &mut walls[g] {
-                            for p in &mut w.wall_xyz {
-                                *p = t.apply(*p);
-                            }
-                        }
-                        // Keep the wall state consistent with the new velocity.
-                        let bc_flops = apply_bcs(&mut blocks[g], &fc);
+                        move_solids(&mut solids, g, &t);
+                        let bc_flops = move_grid(
+                            &mut blocks[g],
+                            walls[g].as_mut(),
+                            &t,
+                            &fc,
+                            maps.get(g),
+                            &mut pending[g],
+                        );
                         ph.compute(bc_flops as f64, WorkClass::Other);
                     }
+                    ph.compute(FLOPS_PER_BODY_STEP, WorkClass::Other);
                 }
                 phase_elapsed[Phase::Motion as usize] += ph.now() - t0;
             }
@@ -997,61 +880,38 @@ pub fn run_case_serial(
                 let t0 = ph.now();
                 if !cfg.use_arena {
                     // Ablation: cold buffers every step, same code path.
-                    arena = ConnArena::new();
-                    arena.isa = overset_solver::select_isa(cfg.use_simd);
+                    arena = arena_for(isa);
                 }
-                let stats = if cfg.use_inverse_map {
-                    let mut build_flops = 0u64;
-                    if maps.len() != ngrids {
-                        maps = blocks.iter().map(InverseMap::build).collect();
-                        build_flops = maps.iter().map(|m| m.build_flops()).sum();
-                        ph.metrics_mut().add(names::CONN_INVMAP_BUILDS, ngrids as u64);
-                        moved.iter_mut().for_each(|f| *f = false);
-                        pending_t.iter_mut().for_each(|p| *p = None);
-                    } else {
-                        for g in 0..ngrids {
-                            if !moved[g] {
-                                continue;
-                            }
-                            // Incremental pose advance when enabled and the
-                            // accumulated motion is small enough; full
-                            // rebuild otherwise.
-                            let advanced = cfg.use_incremental_invmap
-                                && match pending_t[g].as_ref() {
-                                    Some(t) => maps[g].advance(t),
-                                    None => false,
-                                };
-                            if advanced {
-                                build_flops += FLOPS_PER_INCR_UPDATE;
-                                ph.metrics_mut().inc(names::CONN_INVMAP_INCR);
-                            } else {
-                                maps[g] = InverseMap::build(&blocks[g]);
-                                build_flops += maps[g].build_flops();
-                                ph.metrics_mut().inc(names::CONN_INVMAP_BUILDS);
-                            }
-                            moved[g] = false;
-                            pending_t[g] = None;
-                        }
+                let maps_in = if cfg.use_inverse_map {
+                    let mut flops = 0u64;
+                    for (g, block) in blocks.iter().enumerate() {
+                        let Some(up) = InverseMap::refresh(
+                            maps.get_mut(g),
+                            &mut pending[g],
+                            block,
+                            cfg.use_incremental_invmap,
+                        ) else {
+                            continue;
+                        };
+                        flops += up.flops;
+                        ph.metrics_mut().inc(up.counter);
+                        // First maps arrive together on the first step, in
+                        // grid order.
+                        maps.extend(up.first);
                     }
-                    ph.compute(build_flops as f64, WorkClass::Search);
-                    connect_serial_arena(
-                        &mut blocks,
-                        &cfg.search_order,
-                        &solids,
-                        &mut cache,
-                        Some(&maps),
-                        &mut arena,
-                    )
+                    ph.compute(flops as f64, WorkClass::Search);
+                    Some(maps.as_slice())
                 } else {
-                    connect_serial_arena(
-                        &mut blocks,
-                        &cfg.search_order,
-                        &solids,
-                        &mut cache,
-                        None,
-                        &mut arena,
-                    )
+                    None
                 };
+                let stats = connect_serial_arena(
+                    &mut blocks,
+                    &cfg.search_order,
+                    &solids,
+                    &mut cache,
+                    maps_in,
+                    &mut arena,
+                );
                 ph.compute(stats.flops as f64, WorkClass::Search);
                 ph.metrics_mut().add(names::CONN_SERVICED, stats.igbps as u64);
                 ph.metrics_mut().add(names::CONN_WALK_STEPS, stats.walk_steps);

@@ -26,6 +26,7 @@ pub mod cases;
 pub mod comm_impl;
 pub mod driver;
 pub mod export;
+mod motion_step;
 pub mod oracle;
 pub mod redistribute;
 pub mod setup;

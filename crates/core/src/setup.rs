@@ -4,7 +4,7 @@
 use overset_balance::Partition;
 use overset_comm::OversetError;
 use overset_connectivity::Topology;
-use overset_grid::curvilinear::{BcKind, CurvilinearGrid, Face};
+use overset_grid::curvilinear::{BcKind, CurvilinearGrid, Face, Solid};
 use overset_grid::transform::RigidTransform;
 use overset_solver::bc::apply_bcs;
 use overset_solver::conditions::conservatives;
@@ -31,6 +31,15 @@ pub fn build_topology(
         ranks_of_grid: (0..ngrids).map(|g| partition.ranks_of_grid(g)).collect(),
         search_order: search_order.to_vec(),
     })
+}
+
+/// Every grid's hole-cutting solids, each tagged with its grid.
+pub(crate) fn solids_of(grids: &[CurvilinearGrid]) -> Vec<(usize, Solid)> {
+    grids
+        .iter()
+        .enumerate()
+        .flat_map(|(g, grid)| grid.solids.iter().map(move |s| (g, *s)))
+        .collect()
 }
 
 /// Build this rank's block (and wall geometry when its grid has a JMin

@@ -4,7 +4,7 @@
 use overflow_d::{
     airfoil_case, delta_wing_case, run_case, run_case_serial, store_case, Equivalence, LbConfig,
 };
-use overset_comm::MachineModel;
+use overset_comm::{MachineModel, Phase};
 
 fn modern() -> MachineModel {
     MachineModel::modern()
@@ -45,6 +45,22 @@ fn parallel_matches_serial_physics() {
     // already-updated fringe), so agreement is close but not bitwise.
     let rel = (par.state_rms - ser.state_rms).abs() / ser.state_rms;
     assert!(rel < 1e-4, "parallel {} vs serial {} (rel {rel})", par.state_rms, ser.state_rms);
+}
+
+/// Both drivers run one flow step: with every grid on its own rank the
+/// parallel blocks are the serial ones, so the flow work charged, summed
+/// over ranks, must equal the serial run's exactly.
+#[test]
+fn serial_flow_flops_equal_one_rank_per_grid_sum() {
+    let m = MachineModel::ibm_sp2();
+    for cfg in [airfoil_case(0.3, 3), delta_wing_case(0.2, 2), store_case(0.3, 2)] {
+        let ngrids = cfg.grids.len();
+        let par = run_case(&cfg, ngrids, &m).unwrap();
+        assert_eq!(par.np_final, vec![1; ngrids], "{}: a grid was split", cfg.name);
+        let par_flow: f64 = par.rank_stats.iter().map(|s| s.flops[Phase::Flow as usize]).sum();
+        let ser = run_case_serial(&cfg, &m).unwrap();
+        assert_eq!(ser.rank_stats[0].flops[Phase::Flow as usize], par_flow, "{}", cfg.name);
+    }
 }
 
 #[test]

@@ -1051,7 +1051,8 @@ fn periodic_sweep_i(
         }
     }
 
-    (n * nlines) as u64 * FLOPS_PER_NODE_PER_DIR * 2
+    // Exactly what the three passes charged, chunk by chunk.
+    (n * nlines) as u64 * (FLOPS_PER_NODE_PER_DIR + FLOPS_PER_NODE_PER_DIR / 3 + 4)
 }
 
 fn other_dirs(dir: usize) -> (usize, usize) {
@@ -1169,13 +1170,9 @@ mod tests {
         assert!(implicit_neighbor(&b, 0, true).is_none());
     }
 
-    #[test]
-    fn cyclic_solve_satisfies_periodic_system() {
-        // Annular O-grid, single block: run the sweeps and verify that the
-        // i-direction solve satisfies the full *cyclic* tridiagonal system
-        // (seam coupling implicit).
-        let mut fc = FlowConditions::new(0.5, 0.0, 0.0);
-        fc.dt = 0.1;
+    /// Annular 17×5 O-grid as one self-wrapping block, with a mildly
+    /// non-uniform state so eigenvalues vary along the `i` lines.
+    fn o_grid_block(fc: &FlowConditions) -> Block {
         let (nth, nr) = (17usize, 5);
         let d = Dims::new(nth, nr, 1);
         let coords = Field3::from_fn(d, |p| {
@@ -1185,14 +1182,57 @@ mod tests {
         });
         let mut g = CurvilinearGrid::new("o", coords, GridKind::NearBody);
         g.periodic_i = true;
-        let mut b = Block::from_grid(0, &g, d.full_box(), [None; 6], &fc);
-        // Mildly non-uniform state so eigenvalues vary along the line.
+        let mut b = Block::from_grid(0, &g, d.full_box(), [None; 6], fc);
         for p in b.local_dims.iter().collect::<Vec<_>>() {
             let x = b.coords[p];
             let prim = [1.0 + 0.05 * x[0], 0.3 + 0.02 * x[1], 0.1 * x[0], 0.0, 0.8];
             b.q.set_node(p, crate::conditions::conservatives(&prim));
         }
         b.fill_self_wrap();
+        b
+    }
+
+    /// Single-block communicator that tallies what the sweeps charge.
+    struct CountingComm(u64);
+
+    impl SolverComm for CountingComm {
+        fn exchange_halo(&mut self, block: &mut Block) {
+            SerialComm.exchange_halo(block);
+        }
+        fn send_line(&mut self, _: &Block, _: usize, _: bool, _: Vec<f64>) {
+            unreachable!("single blocks have no line neighbors");
+        }
+        fn recv_line(&mut self, _: &Block, _: usize, _: bool, _: usize) -> Vec<f64> {
+            unreachable!("single blocks have no line neighbors");
+        }
+        fn compute(&mut self, flops: u64) {
+            self.0 += flops;
+        }
+    }
+
+    #[test]
+    fn sweeps_return_exactly_what_they_charge() {
+        let fc = FlowConditions::new(0.8, 3.0, 0.0);
+        for (name, b) in [("periodic O-grid", o_grid_block(&fc)), ("open", uniform_block(7, &fc))] {
+            assert_eq!(periodic_in_i(&b), name == "periodic O-grid");
+            let mut dq = StateField::new(b.local_dims);
+            dq.set_node(Ijk::new(3, 2, 0), [1.0, 0.2, -0.1, 0.0, 0.5]);
+            let mut comm = CountingComm(0);
+            let returned =
+                implicit_sweeps(&b, &fc, &mut dq, &mut comm, &mut SweepScratch::default());
+            assert!(returned > 0, "{name}: no flops");
+            assert_eq!(returned, comm.0, "{name}: returned flops differ from the charged ones");
+        }
+    }
+
+    #[test]
+    fn cyclic_solve_satisfies_periodic_system() {
+        // Annular O-grid, single block: run the sweeps and verify that the
+        // i-direction solve satisfies the full *cyclic* tridiagonal system
+        // (seam coupling implicit).
+        let mut fc = FlowConditions::new(0.5, 0.0, 0.0);
+        fc.dt = 0.1;
+        let b = o_grid_block(&fc);
 
         // RHS: pseudo-random but deterministic.
         let mut rhs = StateField::new(b.local_dims);

@@ -31,6 +31,6 @@ pub use conditions::{FlowConditions, GAMMA};
 #[cfg(target_arch = "x86_64")]
 pub use lanes::AvxLanes;
 pub use lanes::{avx2_supported, select_isa, Isa, Lane4, ScalarLanes, W};
-pub use step::{step_block, Scratch, StepReport};
+pub use step::{step_block, Scratch};
 pub use tridiag::TriScratch;
 pub use turbulence::WallGeometry;

@@ -129,15 +129,18 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== traced replay smoke: per-layer replay bit-equal to run_case_serial =="
-# The traced replay re-runs the airfoil through the solver kernels one by
-# one and checks the result bit for bit against the serial driver, so the
-# residual is exercised on both paths.
-REPLAY_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload airfoil-6 --seed 0 --seconds 1 --trace 1 2>/dev/null | tail -1)"
-if ! grep -q '"correct": true' <<< "$REPLAY_OUT"; then
-    echo "traced replay: airfoil-6 did not report \"correct\": true" >&2
-    echo "$REPLAY_OUT" >&2
-    exit 1
-fi
+# The traced replay re-runs each workload through the solver kernels one by
+# one and checks the result bit for bit against the serial driver. The
+# airfoil exercises the residual on both paths; the store and the delta
+# wing move several grids and both advance and rebuild inverse maps.
+for WORKLOAD in airfoil-6 store-dynlb-18 delta-7; do
+    REPLAY_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$WORKLOAD" --seed 0 --seconds 1 --trace 1 2>/dev/null | tail -1)"
+    if ! grep -q '"correct": true' <<< "$REPLAY_OUT"; then
+        echo "traced replay: $WORKLOAD did not report \"correct\": true" >&2
+        echo "$REPLAY_OUT" >&2
+        exit 1
+    fi
+done
 
 echo "All checks passed."
